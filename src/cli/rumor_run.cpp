@@ -510,13 +510,14 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Validate every scenario up front: a bad spec exits 2 here, before a
-  // --csv sink is truncated and before any trial runs — which also means
-  // any run_scenarios failure below IS a runtime trial failure (exit 1),
-  // not a validation error, keeping the exit codes unambiguous. The sink
-  // itself is opened BEFORE the trials too (an unwritable path must fail
-  // in milliseconds, not discard hours of simulation).
-  if (!validate_scenarios(*specs, &error)) {
+  // Prepare every scenario up front, in one pass: a bad spec exits 2 here,
+  // before a --csv sink is truncated and before any trial runs — which
+  // also means any run_scenarios failure below IS a runtime trial failure
+  // (exit 1), not a validation error, keeping the exit codes unambiguous.
+  // The sink itself is opened BEFORE the trials too (an unwritable path
+  // must fail in milliseconds, not discard hours of simulation).
+  auto prepared = prepare_scenarios(*specs, &error);
+  if (!prepared) {
     std::fprintf(stderr, "%s: %s\n", cli->input.c_str(), error.c_str());
     return 2;
   }
@@ -558,9 +559,9 @@ int main(int argc, char** argv) {
                    q.in_flight());
     }
   };
-  const auto results = run_scenarios(*specs, &error, options);
+  const auto results = run_scenarios(std::move(*prepared), &error, options);
   if (!results) {
-    // Validation passed above, so this is a runtime trial failure: name
+    // Preparation passed above, so this is a runtime trial failure: name
     // the scenario, mark any partially streamed CSV — a truncated
     // artifact that looks complete is worse than no artifact — and exit
     // 1 (distinct from the exit-2 spec errors).

@@ -108,7 +108,7 @@ bool async_entry_set(ProtocolOptions& options, std::string_view key,
                      std::string_view value) {
   auto& opt = std::get<AsyncOptions>(options);
   if (key == "max_ticks") {
-    const auto v = spec_text::parse_u64(value);
+    const auto v = spec_text::parse_magnitude(value);
     if (!v) return false;
     opt.max_ticks = *v;
     return true;

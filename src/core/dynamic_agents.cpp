@@ -252,7 +252,7 @@ bool dynamic_agent_entry_set(ProtocolOptions& options, std::string_view key,
     return true;
   }
   if (key == "loss_round") {
-    const auto v = spec_text::parse_u64(value);
+    const auto v = spec_text::parse_magnitude(value);
     if (!v) return false;
     opt.loss_round = *v;
     return true;

@@ -164,8 +164,8 @@ bool frog_entry_set(ProtocolOptions& options, std::string_view key,
                     std::string_view value) {
   auto& opt = std::get<FrogOptions>(options);
   if (key == "frogs") {
-    const auto v = spec_text::parse_u64(value);
-    if (!v || *v == 0) return false;
+    const auto v = spec_text::parse_magnitude(value);
+    if (!v || *v == 0 || *v > 0xFFFFFFFFULL) return false;
     opt.frogs_per_vertex = static_cast<std::uint32_t>(*v);
     return true;
   }
@@ -180,7 +180,7 @@ bool frog_entry_set(ProtocolOptions& options, std::string_view key,
     return true;
   }
   if (key == "max_rounds") {
-    const auto v = spec_text::parse_u64(value);
+    const auto v = spec_text::parse_magnitude(value);
     if (!v) return false;
     opt.max_rounds = *v;
     return true;

@@ -385,13 +385,13 @@ bool multi_entry_set_common(MultiRumorOptions& opt, std::string_view key,
                             std::string_view value, bool* handled) {
   *handled = true;
   if (key == "rumors") {
-    const auto v = spec_text::parse_u64(value);
+    const auto v = spec_text::parse_magnitude(value);
     if (!v || *v == 0 || *v > kMaxRumors) return false;
     opt.rumor_count = static_cast<std::uint32_t>(*v);
     return true;
   }
   if (key == "interval") {
-    const auto v = spec_text::parse_u64(value);
+    const auto v = spec_text::parse_magnitude(value);
     if (!v) return false;
     opt.release_interval = *v;
     return true;
@@ -422,7 +422,7 @@ bool multi_push_pull_entry_set(ProtocolOptions& options, std::string_view key,
   const bool ok = multi_entry_set_common(opt, key, value, &handled);
   if (handled) return ok;
   if (key == "max_rounds") {
-    const auto v = spec_text::parse_u64(value);
+    const auto v = spec_text::parse_magnitude(value);
     if (!v) return false;
     opt.walk.max_rounds = *v;
     return true;

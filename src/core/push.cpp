@@ -549,7 +549,7 @@ bool push_entry_set(ProtocolOptions& options, std::string_view key,
     return true;
   }
   if (key == "max_rounds") {
-    const auto v = spec_text::parse_u64(value);
+    const auto v = spec_text::parse_magnitude(value);
     if (!v) return false;
     opt.max_rounds = *v;
     return true;

@@ -20,7 +20,7 @@ bool set_shards_option(std::uint32_t& field, std::string_view value) {
     field = kShardsAuto;
     return true;
   }
-  const auto v = spec_text::parse_u64(value);
+  const auto v = spec_text::parse_magnitude(value);
   if (!v || *v == 0 || *v >= kShardsAuto) return false;
   field = static_cast<std::uint32_t>(*v);
   return true;

@@ -58,7 +58,7 @@ bool set_transmission_intervention_option(TransmissionOptions& options,
                                           std::string_view key,
                                           std::string_view value) {
   if (key == "stifle") {
-    const auto v = spec_text::parse_u64(value);
+    const auto v = spec_text::parse_magnitude(value);
     if (!v || *v > 0xFFFFFFFFULL) return false;
     options.stifle = static_cast<std::uint32_t>(*v);
     return true;
@@ -70,7 +70,7 @@ bool set_transmission_intervention_option(TransmissionOptions& options,
     return true;
   }
   if (key == "block@t") {
-    const auto v = spec_text::parse_u64(value);
+    const auto v = spec_text::parse_magnitude(value);
     if (!v || *v == 0) return false;  // round 0 is initialization
     options.block_round = *v;
     return true;

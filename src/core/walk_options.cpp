@@ -103,7 +103,7 @@ bool set_agent_walk_option(WalkOptions& options, std::string_view key,
     if (!v || !(*v > 0.0 && *v <= 1e9)) return false;
     options.alpha = *v;
   } else if (key == "agents") {
-    const auto v = spec_text::parse_u64(value);
+    const auto v = spec_text::parse_magnitude(value);
     if (!v) return false;
     options.agent_count = static_cast<std::size_t>(*v);
   } else if (key == "placement") {
@@ -122,7 +122,7 @@ bool set_agent_walk_option(WalkOptions& options, std::string_view key,
     if (value == "source") {
       options.placement_anchor = kNoVertex;
     } else {
-      const auto v = spec_text::parse_u64(value);
+      const auto v = spec_text::parse_magnitude(value);
       // kNoVertex is the "the source" sentinel; anything at or above it
       // would truncate in the Vertex cast.
       if (!v || *v >= kNoVertex) return false;
@@ -139,7 +139,7 @@ bool set_agent_walk_option(WalkOptions& options, std::string_view key,
       return false;
     }
   } else if (key == "max_rounds") {
-    const auto v = spec_text::parse_u64(value);
+    const auto v = spec_text::parse_magnitude(value);
     if (!v) return false;
     options.max_rounds = *v;
   } else if (key == "engine") {

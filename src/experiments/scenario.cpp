@@ -32,22 +32,23 @@ bool set_plan_option(TrialPlan& plan, std::string& label,
                      std::string_view key, std::string_view value,
                      std::string* error) {
   if (key == "trials") {
-    const auto v = spec_text::parse_u64(value);
+    const auto v = spec_text::parse_magnitude(value);
     if (!v || *v == 0) {
       set_error(error, "bad value trials=" + std::string(value));
       return false;
     }
     plan.trials = static_cast<std::size_t>(*v);
   } else if (key == "seed") {
-    const auto v = spec_text::parse_u64(value);
+    const auto v = spec_text::parse_magnitude(value);
     if (!v) {
       set_error(error, "bad value seed=" + std::string(value));
       return false;
     }
     plan.seed = *v;
   } else if (key == "source") {
-    const auto v = spec_text::parse_u64(value);
-    if (!v) {
+    const auto v = spec_text::parse_magnitude(value);
+    // Past the Vertex range the cast would truncate to a different vertex.
+    if (!v || *v > kNoVertex) {
       set_error(error, "bad value source=" + std::string(value));
       return false;
     }
@@ -322,6 +323,20 @@ std::optional<std::vector<ScenarioSpec>> load_scenario_file(
   return parse_scenario_stream(in, error);
 }
 
+Graph GraphDrawStore::draw(const GraphSpec& spec, std::uint64_t seed,
+                           bool keep) {
+  for (const Entry& entry : entries_) {
+    if (entry.seed == seed && entry.spec == spec) return entry.graph;
+  }
+  // The graph draw uses a seed stream disjoint from the trial seeds (and,
+  // for fresh mode, matches trial 0's draw), so a scenario is
+  // reproducible from its text alone.
+  Rng graph_rng(derive_seed(seed ^ kGraphSeedSalt, 0));
+  Graph g = spec.make(graph_rng);
+  if (keep) entries_.push_back({spec, seed, g});
+  return g;
+}
+
 // Validates the scenario and fills the result's size columns WITHOUT
 // building deterministic graphs: probe() answers n/m from the closed forms
 // (or the file cache header), so validating a 10^8-vertex sweep costs
@@ -329,19 +344,17 @@ std::optional<std::vector<ScenarioSpec>> load_scenario_file(
 // check covers every fresh draw too (the per-draw RUMOR_REQUIRE in the
 // runner stays as backstop).
 bool prepare_scenario(const ScenarioSpec& spec, ScenarioResult& result,
-                      PreparedScenario& prep, std::string* error) {
+                      PreparedScenario& prep, GraphDrawStore& draws,
+                      std::string* error) {
   result.spec = spec;
   if (spec.graph.is_random()) {
-    // The graph draw uses a seed stream disjoint from the trial seeds (and,
-    // for fresh mode, matches trial 0's draw), so a scenario is
-    // reproducible from its text alone.
-    Rng graph_rng(derive_seed(spec.plan.seed ^ kGraphSeedSalt, 0));
-    Graph g = spec.graph.make(graph_rng);
+    // Fresh-graph scenarios redraw per trial; their draw only sizes the
+    // row, so it is not kept to pin memory for the whole run.
+    const bool fresh = spec.plan.fresh_graph;
+    Graph g = draws.draw(spec.graph, spec.plan.seed, /*keep=*/!fresh);
     result.n = g.num_vertices();
     result.edges = g.num_edges();
-    // Fresh-graph scenarios redraw per trial; dropping the validation
-    // draw immediately keeps it from pinning memory for the whole run.
-    if (!spec.plan.fresh_graph) prep.graph = std::move(g);
+    if (!fresh) prep.graph = std::move(g);
   } else {
     std::string why;
     const auto probe = spec.graph.probe(&why);
@@ -402,51 +415,56 @@ std::optional<ScenarioResult> run_scenario(const ScenarioSpec& spec,
   return std::move(results->front());
 }
 
-bool validate_scenarios(const std::vector<ScenarioSpec>& specs,
-                        std::string* error) {
-  for (const ScenarioSpec& spec : specs) {
-    ScenarioResult scratch;
-    PreparedScenario prep;
-    if (!prepare_scenario(spec, scratch, prep, error)) return false;
-  }
-  return true;
-}
-
-std::optional<std::vector<ScenarioResult>> run_scenarios(
-    const std::vector<ScenarioSpec>& specs, std::string* error,
-    const ScenarioRunOptions& options) {
-  // Phase 1 — validate every scenario before any trial runs: a bad line at
-  // the bottom of the file fails fast instead of after hours of
-  // simulation. Deterministic graphs are validated analytically and built
-  // lazily by the scheduler (when their first trial is claimed, released
-  // when their trials drain); only random non-fresh scenarios build here,
-  // because their one draw is part of the result.
-  std::vector<ScenarioResult> results(specs.size());
-  std::vector<PreparedScenario> prepared(specs.size());
+std::optional<PreparedScenarios> prepare_scenarios(
+    const std::vector<ScenarioSpec>& specs, std::string* error) {
+  // Every scenario is validated before any trial runs: a bad line at the
+  // bottom of the file fails fast instead of after hours of simulation.
+  // Deterministic graphs are validated analytically and built lazily by
+  // the scheduler (when their first trial is claimed, released when their
+  // trials drain); only random non-fresh scenarios hold a graph, because
+  // their one draw is part of the result.
+  PreparedScenarios out;
+  out.results.resize(specs.size());
+  out.prepared.resize(specs.size());
+  GraphDrawStore draws;
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (!prepare_scenario(specs[i], results[i], prepared[i], error)) {
+    if (!prepare_scenario(specs[i], out.results[i], out.prepared[i], draws,
+                          error)) {
       return std::nullopt;
     }
   }
-  // Phase 2 — one global (scenario, trial) queue across the whole file.
-  std::vector<TrialBatch> batches(specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
+  return out;
+}
+
+bool validate_scenarios(const std::vector<ScenarioSpec>& specs,
+                        std::string* error) {
+  return prepare_scenarios(specs, error).has_value();
+}
+
+std::optional<std::vector<ScenarioResult>> run_scenarios(
+    PreparedScenarios prepared, std::string* error,
+    const ScenarioRunOptions& options) {
+  std::vector<ScenarioResult>& results = prepared.results;
+  // One global (scenario, trial) queue across the whole file.
+  std::vector<TrialBatch> batches(results.size());
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const ScenarioSpec& spec = results[i].spec;
     TrialBatch& batch = batches[i];
-    if (specs[i].plan.fresh_graph) {
-      batch.fresh_spec = &specs[i].graph;
-    } else if (prepared[i].lazy) {
-      batch.lazy_spec = &specs[i].graph;
+    if (spec.plan.fresh_graph) {
+      batch.fresh_spec = &spec.graph;
+    } else if (prepared.prepared[i].lazy) {
+      batch.lazy_spec = &spec.graph;
     } else {
-      batch.graph = &*prepared[i].graph;
+      batch.graph = &*prepared.prepared[i].graph;
     }
-    batch.protocol = &specs[i].protocol;
-    batch.source = specs[i].plan.source;
-    batch.trials = specs[i].plan.trials;
-    batch.master_seed = specs[i].plan.seed;
+    batch.protocol = &spec.protocol;
+    batch.source = spec.plan.source;
+    batch.trials = spec.plan.trials;
+    batch.master_seed = spec.plan.seed;
     // Expected-cost heuristic for --order=longest-first: per-trial work is
     // roughly proportional to the graph size.
     batch.cost_hint = static_cast<std::size_t>(results[i].n) *
-                      specs[i].plan.trials;
+                      spec.plan.trials;
     batch.out = &results[i].set;
   }
   TrialRunOptions run_options;
@@ -471,11 +489,19 @@ std::optional<std::vector<ScenarioResult>> run_scenarios(
     // Name the failing scenario: scenario files are user input, and "which
     // line died" is the difference between a fixable report and a bare
     // abort three hours in.
-    set_error(error, "scenario \"" + specs[e.batch_index()].name() +
+    set_error(error, "scenario \"" + results[e.batch_index()].spec.name() +
                          "\" failed: " + e.what());
     return std::nullopt;
   }
-  return results;
+  return std::move(results);
+}
+
+std::optional<std::vector<ScenarioResult>> run_scenarios(
+    const std::vector<ScenarioSpec>& specs, std::string* error,
+    const ScenarioRunOptions& options) {
+  auto prepared = prepare_scenarios(specs, error);
+  if (!prepared) return std::nullopt;
+  return run_scenarios(std::move(*prepared), error, options);
 }
 
 // scenario_table / write_scenario_csv live in experiments/report.cpp next

@@ -100,16 +100,8 @@ std::optional<std::vector<ScenarioSpec>> load_scenario_file(
 [[nodiscard]] std::optional<ScenarioResult> run_scenario(
     const ScenarioSpec& spec, std::string* error = nullptr);
 
-// Validates every scenario — builds each graph once, checks source and
-// placement anchor — without running any trial. run_scenarios performs
-// the same checks itself; this exists for callers that must fail BEFORE
-// taking a destructive step (the CLI validates before truncating an
-// existing --csv file).
-[[nodiscard]] bool validate_scenarios(const std::vector<ScenarioSpec>& specs,
-                                      std::string* error = nullptr);
-
 // One scenario vetted for execution: sizes for the report row, plus the
-// graph when (and only when) validation had to build it — random non-fresh
+// graph when (and only when) preparation had to draw it — random non-fresh
 // specs, whose single draw IS part of the result. Deterministic specs
 // validate analytically (GraphSpec::probe) and are built lazily by the
 // trial scheduler; fresh specs redraw per trial and never hold a graph
@@ -119,14 +111,58 @@ struct PreparedScenario {
   bool lazy = false;
 };
 
+// The random draws of one preparation pass, keyed by (GraphSpec, seed).
+// Rows naming the same random spec under the same plan seed would draw
+// byte-identical graphs, so the pass draws each distinct key once and
+// hands every such row a Graph copy — copies alias one payload, uid and
+// property cache. Scope a store to one pass (a scenario file, a served
+// job): dropping it releases nothing a prepared row still holds.
+class GraphDrawStore {
+ public:
+  // The draw for (spec, seed) from the salted graph stream: the stored
+  // one if present, else a new draw, kept for later rows only when
+  // `keep` (fresh=on rows pass false, so they pin no memory).
+  [[nodiscard]] Graph draw(const GraphSpec& spec, std::uint64_t seed,
+                           bool keep);
+
+ private:
+  struct Entry {
+    GraphSpec spec;
+    std::uint64_t seed = 0;
+    Graph graph;
+  };
+  std::vector<Entry> entries_;
+};
+
 // Validates one scenario and fills the result's spec/size columns WITHOUT
 // building deterministic graphs (probe() answers n/m from the closed
-// forms). Shared by run_scenarios and the serve daemon's SUBMIT intake, so
-// a scenario is accepted or rejected identically in both paths.
+// forms); random graphs come from `draws`. Shared by prepare_scenarios and
+// the serve daemon's SUBMIT intake, so a scenario is accepted or rejected
+// identically in both paths.
 [[nodiscard]] bool prepare_scenario(const ScenarioSpec& spec,
                                     ScenarioResult& result,
                                     PreparedScenario& prep,
+                                    GraphDrawStore& draws,
                                     std::string* error = nullptr);
+
+// A scenario list after one preparation pass: results[i] carries spec i
+// and its size columns, prepared[i] its graph plan.
+struct PreparedScenarios {
+  std::vector<ScenarioResult> results;
+  std::vector<PreparedScenario> prepared;
+};
+
+// Prepares every scenario in order with one GraphDrawStore — each
+// distinct random (spec, seed) is drawn once — without running any trial.
+// The first invalid scenario is reported through *error. Callers that
+// must fail BEFORE a destructive step (the CLI truncating an existing
+// --csv file) prepare first, then hand the result to run_scenarios.
+[[nodiscard]] std::optional<PreparedScenarios> prepare_scenarios(
+    const std::vector<ScenarioSpec>& specs, std::string* error = nullptr);
+
+// prepare_scenarios, keeping only the verdict.
+[[nodiscard]] bool validate_scenarios(const std::vector<ScenarioSpec>& specs,
+                                      std::string* error = nullptr);
 
 struct ScenarioRunOptions {
   // Fired once per scenario, in FILE ORDER, as completions allow (the
@@ -147,12 +183,16 @@ struct ScenarioRunOptions {
   TrialCounters* counters = nullptr;
 };
 
-// Executes all scenarios through ONE global (scenario, trial) work queue:
-// every scenario is validated and its graph built up front (the first
-// invalid scenario is reported through *error before any trial runs),
-// then trials from all scenarios interleave across the thread pool — no
+// Executes prepared scenarios through ONE global (scenario, trial) work
+// queue: trials from all scenarios interleave across the thread pool — no
 // per-scenario barrier, so a long-tail scenario cannot serialize the
 // file. Results are in file order and identical for any worker count.
+[[nodiscard]] std::optional<std::vector<ScenarioResult>> run_scenarios(
+    PreparedScenarios prepared, std::string* error = nullptr,
+    const ScenarioRunOptions& options = {});
+
+// prepare_scenarios, then the run above: an invalid scenario is reported
+// before any trial runs.
 [[nodiscard]] std::optional<std::vector<ScenarioResult>> run_scenarios(
     const std::vector<ScenarioSpec>& specs, std::string* error = nullptr,
     const ScenarioRunOptions& options = {});

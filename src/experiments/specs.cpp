@@ -335,7 +335,7 @@ std::optional<GraphSpec> GraphSpec::parse(std::string_view text,
   bool have_p = false;
   for (const auto& [key, value] : call->args) {
     if (key == info->key_a) {
-      const auto v = spec_text::parse_u64(value);
+      const auto v = spec_text::parse_magnitude(value);
       if (!v) {
         if (error != nullptr) *error = "bad value " + key + "=" + value;
         return std::nullopt;
@@ -343,7 +343,7 @@ std::optional<GraphSpec> GraphSpec::parse(std::string_view text,
       spec.a = *v;
       have_a = true;
     } else if (info->key_b != nullptr && key == info->key_b) {
-      const auto v = spec_text::parse_u64(value);
+      const auto v = spec_text::parse_magnitude(value);
       if (!v) {
         if (error != nullptr) *error = "bad value " + key + "=" + value;
         return std::nullopt;

@@ -338,11 +338,12 @@ struct Server::Impl {
     job->client = from.client;
     job->lines = from.lines;
     std::string error;
+    GraphDrawStore draws;  // per job, like SUBMIT intake
     for (const std::string& line : from.lines) {
       auto spec = ScenarioSpec::parse(line, &error);
       auto s = std::make_unique<ScenarioState>();
       if (!spec ||
-          !prepare_scenario(*spec, s->result, s->prep, &error)) {
+          !prepare_scenario(*spec, s->result, s->prep, draws, &error)) {
         // A journaled job that no longer validates (e.g. its file: graph
         // vanished) resumes as failed instead of poisoning startup.
         job->state = Job::State::failed;
@@ -576,6 +577,9 @@ struct Server::Impl {
     }
     auto job = std::make_unique<Job>();
     std::size_t total_trials = 0;
+    // Rows of one job share each random (spec, seed) draw; jobs never
+    // share with each other, so a graph lives exactly as long as its job.
+    GraphDrawStore draws;
     for (const ScenarioSpec& spec : *specs) {
       if (const TraceOptions* trace = spec.protocol.trace();
           trace != nullptr && trace->informed_curve) {
@@ -586,7 +590,7 @@ struct Server::Impl {
         return;
       }
       auto s = std::make_unique<ScenarioState>();
-      if (!prepare_scenario(spec, s->result, s->prep, &error)) {
+      if (!prepare_scenario(spec, s->result, s->prep, draws, &error)) {
         send_line(conn, "ERR validate " + sanitize_reply_text(error));
         return;
       }

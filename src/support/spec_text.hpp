@@ -95,7 +95,9 @@ inline constexpr std::size_t kMaxSweepPoints = 1024;
 [[nodiscard]] std::optional<std::vector<std::string>> expand_sweep_value(
     std::string_view text, std::string* error = nullptr);
 
-// parse_u64 plus the k/m magnitude suffixes ("2k" -> 2048).
+// parse_u64 plus the k/m magnitude suffixes ("2k" -> 2048): the integer
+// grammar of every spec value, scalar or sweep endpoint. Rejects a doubled
+// or unknown suffix ("2kk", "2q") and results past UINT64_MAX.
 [[nodiscard]] std::optional<std::uint64_t> parse_magnitude(
     std::string_view text);
 

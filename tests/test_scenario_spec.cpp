@@ -291,5 +291,73 @@ TEST(ScenarioSpecText, RejectsMalformedLines) {
   EXPECT_NE(error.find("fresh"), std::string::npos);
 }
 
+// ---- Scalar magnitude suffixes ------------------------------------------
+//
+// A scalar integer takes the k/m suffixes a sweep endpoint takes, so
+// `leaves=2k` is the one-point `leaves=2k..2k`; name() still prints the
+// plain integer, so both spellings are one spec.
+
+TEST(ScalarMagnitudes, ScalarSuffixesMatchTheOnePointSweep) {
+  std::string error;
+  const auto scalar = ScenarioSpec::parse("star(leaves=2k) push", &error);
+  ASSERT_TRUE(scalar) << error;
+  EXPECT_EQ(scalar->graph.name(), "star(leaves=2048)");
+  const auto swept = expand_scenario_line("star(leaves=2k..2k) push", &error);
+  ASSERT_TRUE(swept) << error;
+  ASSERT_EQ(swept->size(), 1u);
+  EXPECT_EQ(swept->front().graph, scalar->graph);
+
+  const auto big = GraphSpec::parse("random_regular(n=64k,d=16)", &error);
+  const auto plain = GraphSpec::parse("random_regular(n=65536,d=16)", &error);
+  ASSERT_TRUE(big && plain) << error;
+  EXPECT_EQ(*big, *plain);
+  EXPECT_EQ(big->name(), "random_regular(n=65536,d=16)");
+  EXPECT_EQ(GraphSpec::parse("cycle(n=1m)")->a, 1048576u);
+}
+
+TEST(ScalarMagnitudes, PlanAndProtocolIntegersTakeSuffixes) {
+  std::string error;
+  const auto spec = ScenarioSpec::parse(
+      "complete(n=4k) push(max_rounds=1k) trials=1k seed=3m source=2k",
+      &error);
+  ASSERT_TRUE(spec) << error;
+  EXPECT_EQ(spec->plan.trials, 1024u);
+  EXPECT_EQ(spec->plan.seed, 3u * 1024 * 1024);
+  EXPECT_EQ(spec->plan.source, 2048u);
+  EXPECT_EQ(spec->name(),
+            "complete(n=4096) push(max_rounds=1024) trials=1024 "
+            "seed=3145728 source=2048");
+  const auto walk =
+      ProtocolSpec::parse("visit-exchange(agents=1k,max_rounds=2k)", &error);
+  ASSERT_TRUE(walk) << error;
+  EXPECT_EQ(walk->name(), "visit-exchange(agents=1024,max_rounds=2048)");
+}
+
+TEST(ScalarMagnitudes, MalformedAndOverflowingSuffixesAreTypedErrors) {
+  // Each line is rejected with a message naming the offending key=value.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"star(leaves=2kk) push", "leaves=2kk"},
+      {"star(leaves=2q) push", "leaves=2q"},
+      {"star(leaves=k) push", "leaves=k"},
+      {"star(leaves=-2k) push", "leaves=-2k"},
+      {"star(leaves=99999999999999999999k) push", "leaves=99999999999999999999k"},
+      {"star(leaves=18014398509481984k) push", "leaves=18014398509481984k"},
+      {"complete(n=8) push trials=2kk", "trials=2kk"},
+      {"complete(n=8) push seed=17592186044416m", "seed=17592186044416m"},
+      {"complete(n=8) push(max_rounds=2q)", "max_rounds=2q"},
+      // Narrow fields keep their range checks after scaling.
+      {"complete(n=8) push(stifle=4096m)", "stifle=4096m"},
+      {"complete(n=8) push(shards=4096m)", "shards=4096m"},
+      {"complete(n=8) frog(frogs=4096m)", "frogs=4096m"},
+      {"complete(n=8) push source=4096m", "source=4096m"},
+  };
+  for (const auto& [line, token] : cases) {
+    std::string error;
+    EXPECT_FALSE(ScenarioSpec::parse(line, &error)) << line;
+    EXPECT_NE(error.find("bad "), std::string::npos) << line << ": " << error;
+    EXPECT_NE(error.find(token), std::string::npos) << line << ": " << error;
+  }
+}
+
 }  // namespace
 }  // namespace rumor

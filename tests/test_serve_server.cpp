@@ -16,6 +16,7 @@
 
 #include "experiments/report.hpp"
 #include "experiments/scenario.hpp"
+#include "graph/generators.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 
@@ -454,6 +455,69 @@ TEST_F(ServeServerTest, ResumeSurvivesATornJournalTail) {
   ASSERT_TRUE(result) << error;
   EXPECT_EQ(result->state, "done");
   EXPECT_EQ(result->rows, one_shot_rows(text));
+}
+
+// ---- Per-job draw store ---------------------------------------------------
+
+// Constructs one throwaway graph and returns its uid; Graph::uid() is
+// process-monotone, so the delta between two probes counts the graphs
+// built in between (the probe itself included).
+std::uint64_t probe_uid() { return gen::cycle(3).uid(); }
+
+// Five protocols on one random regular draw: the rows of one job share it.
+constexpr const char* kSharedDrawText =
+    "random_regular(n=2048,d=8) push trials=30\n"
+    "random_regular(n=2048,d=8) push-pull trials=30\n"
+    "random_regular(n=2048,d=8) visit-exchange trials=30\n"
+    "random_regular(n=2048,d=8) meet-exchange trials=30\n"
+    "random_regular(n=2048,d=8) hybrid trials=30\n";
+
+TEST_F(ServeServerTest, SubmitOfOneRandomGraphJobDrawsItOnce) {
+  start_server();
+  Client client;
+  connect(client);
+  const std::uint64_t before = probe_uid();
+  const std::uint64_t job = submit(client, kSharedDrawText);
+  ASSERT_NE(job, 0u);
+  std::string error;
+  const auto result = client.watch(job, &error);
+  ASSERT_TRUE(result) << error;
+  EXPECT_EQ(result->state, "done");
+  // One draw for the whole job, then the probe itself.
+  EXPECT_EQ(probe_uid() - before, 2u);
+  EXPECT_EQ(result->rows, one_shot_rows(kSharedDrawText));
+
+  // A second job on the same text draws its own graph: stores are per job.
+  const std::uint64_t second = probe_uid();
+  const std::uint64_t job2 = submit(client, kSharedDrawText);
+  const auto result2 = client.watch(job2, &error);
+  ASSERT_TRUE(result2) << error;
+  EXPECT_EQ(probe_uid() - second, 2u);
+  EXPECT_EQ(result2->rows, result->rows);
+}
+
+TEST_F(ServeServerTest, KillAndResumeOfASharedDrawJobMatchesOneShot) {
+  start_server(/*workers=*/1);
+  {
+    Client client;
+    connect(client);
+    ASSERT_EQ(submit(client, kSharedDrawText), 1u);
+    wait_for_trials(client, 1, 1);
+  }
+  stop_server(/*graceful=*/false);
+
+  // Resume rebuilds the job from its journaled lines with one store: the
+  // five rows again share one draw.
+  const std::uint64_t before = probe_uid();
+  start_server();
+  EXPECT_EQ(probe_uid() - before, 2u);
+  Client client;
+  connect(client);
+  std::string error;
+  const auto result = client.watch(1, &error);
+  ASSERT_TRUE(result) << error;
+  EXPECT_EQ(result->state, "done");
+  EXPECT_EQ(result->rows, one_shot_rows(kSharedDrawText));
 }
 
 }  // namespace
