@@ -444,23 +444,23 @@ void PushProcess::step_sharded(const Access& acc) {
       active.size(), width,
       [&](std::size_t s, std::size_t begin, std::size_t end) {
         auto& out = scratch[s].candidates;
-        for (std::size_t i = begin; i < end; ++i) {
-          const Vertex u = active[i];
-          SlotDraws draws(plane, kShardPhasePush,
-                          static_cast<std::uint32_t>(i));
-          const GraphRow row = acc.row(u);
-          const Vertex v = acc.pick(row, word_below(draws, row.deg));
-          if (loss > 0.0 && draws.next_unit_double() < loss) continue;
-          if constexpr (kGeneral) {
-            if (model_.blocked<Mode>(v, round_) || informed.touched(v)) {
-              continue;
-            }
-            if (!model_.attempt_from<Mode>(v, draws)) continue;
-          } else {
-            if (informed.touched(v)) continue;
-          }
-          out.push_back(v);
-        }
+        for_each_caller(
+            acc, plane, kShardPhasePush, active.data(), begin, end,
+            [&](std::size_t i, Vertex u, SlotBatch& batch) {
+              SlotDraws draws = batch.at(i);
+              const GraphRow row = acc.row(u);
+              const Vertex v = acc.pick(row, word_below(draws, row.deg));
+              if (loss > 0.0 && draws.next_unit_double() < loss) return;
+              if constexpr (kGeneral) {
+                if (model_.blocked<Mode>(v, round_) || informed.touched(v)) {
+                  return;
+                }
+                if (!model_.attempt_from<Mode>(v, draws)) return;
+              } else {
+                if (informed.touched(v)) return;
+              }
+              out.push_back(v);
+            });
       });
 
   // Serial merge, shard-major = ascending slot order: the first delivered

@@ -338,23 +338,23 @@ void PushPullProcess::step_sharded(const Access& acc) {
       active.size(), width,
       [&](std::size_t s, std::size_t begin, std::size_t end) {
         auto& out = scratch[s].candidates;
-        for (std::size_t i = begin; i < end; ++i) {
-          const Vertex u = active[i];
-          SlotDraws draws(plane, kShardPhasePush,
-                          static_cast<std::uint32_t>(i));
-          const GraphRow row = acc.row(u);
-          const Vertex v = acc.pick(row, word_below(draws, row.deg));
-          if (loss > 0.0 && draws.next_unit_double() < loss) continue;
-          if constexpr (kGeneral) {
-            if (model_.blocked<Mode>(v, round_) || informed.touched(v)) {
-              continue;
-            }
-            if (!model_.attempt_from<Mode>(v, draws)) continue;
-          } else {
-            if (informed.touched(v)) continue;
-          }
-          out.push_back(v);
-        }
+        for_each_caller(
+            acc, plane, kShardPhasePush, active.data(), begin, end,
+            [&](std::size_t i, Vertex u, SlotBatch& batch) {
+              SlotDraws draws = batch.at(i);
+              const GraphRow row = acc.row(u);
+              const Vertex v = acc.pick(row, word_below(draws, row.deg));
+              if (loss > 0.0 && draws.next_unit_double() < loss) return;
+              if constexpr (kGeneral) {
+                if (model_.blocked<Mode>(v, round_) || informed.touched(v)) {
+                  return;
+                }
+                if (!model_.attempt_from<Mode>(v, draws)) return;
+              } else {
+                if (informed.touched(v)) return;
+              }
+              out.push_back(v);
+            });
       });
   for (std::uint32_t s = 0; s < width; ++s) {
     for (const Vertex v : scratch[s].candidates) {
@@ -372,24 +372,24 @@ void PushPullProcess::step_sharded(const Access& acc) {
   shard_pool().parallel_for_ranges(
       pullers, width, [&](std::size_t s, std::size_t begin, std::size_t end) {
         auto& out = scratch[s].candidates;
-        for (std::size_t i = begin; i < end; ++i) {
-          const Vertex w = frontier[i];
-          if (arena_->vertex_inform_round.touched(w)) continue;  // pushed now
-          SlotDraws draws(plane, kShardPhasePull,
-                          static_cast<std::uint32_t>(i));
-          const GraphRow row = acc.row(w);
-          const Vertex v = acc.pick(row, word_below(draws, row.deg));
-          if (loss > 0.0 && draws.next_unit_double() < loss) continue;
-          if (!informed_before_this_round(v)) continue;
-          if constexpr (kGeneral) {
-            if (!model_.can_transmit<Mode>(
-                    arena_->vertex_inform_round.get(v), v, round_) ||
-                !model_.attempt_from<Mode>(v, draws)) {
-              continue;
-            }
-          }
-          out.push_back(w);
-        }
+        for_each_caller(
+            acc, plane, kShardPhasePull, frontier.data(), begin, end,
+            [&](std::size_t i, Vertex w, SlotBatch& batch) {
+              if (arena_->vertex_inform_round.touched(w)) return;  // pushed
+              SlotDraws draws = batch.at(i);
+              const GraphRow row = acc.row(w);
+              const Vertex v = acc.pick(row, word_below(draws, row.deg));
+              if (loss > 0.0 && draws.next_unit_double() < loss) return;
+              if (!informed_before_this_round(v)) return;
+              if constexpr (kGeneral) {
+                if (!model_.can_transmit<Mode>(
+                        arena_->vertex_inform_round.get(v), v, round_) ||
+                    !model_.attempt_from<Mode>(v, draws)) {
+                  return;
+                }
+              }
+              out.push_back(w);
+            });
       });
   for (std::uint32_t s = 0; s < width; ++s) {
     for (const Vertex w : scratch[s].candidates) {

@@ -14,8 +14,12 @@
 // the machine without breaking reproducibility.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
+
+#include "graph/graph.hpp"
+#include "support/philox.hpp"
 
 namespace rumor {
 
@@ -54,5 +58,28 @@ inline constexpr std::uint64_t kShardAutoThreshold = std::uint64_t{1} << 22;
 // sentinel, the number otherwise.
 void format_shards_option(std::uint32_t shards, std::uint32_t defaults,
                           spec_text::KeyValWriter& out);
+
+// One shard's dense caller pass (push or pull callers) over the slots
+// [begin, end) of `phase`: calls body(i, callers[i], draws) in ascending
+// slot order, where `draws` is the pass's SlotBatch and the body takes
+// draws.at(i) when slot i draws. Seq-0 blocks are filled 64 slots at a
+// time and each caller's row is prefetched a few slots ahead, so a caller
+// costs neither a scalar Philox block nor a cold row miss. `acc` is a
+// graph/access.hpp policy.
+template <class Access, class Body>
+void for_each_caller(const Access& acc, const ShardPlane& plane,
+                     std::uint32_t phase, const Vertex* callers,
+                     std::size_t begin, std::size_t end, Body&& body) {
+  // As in the walk kernel's irregular pipeline: the offsets entry 16 slots
+  // ahead, the row 4 slots ahead (reading the by-then cached offset).
+  constexpr std::size_t kDegreeAhead = 16;
+  constexpr std::size_t kRowAhead = 4;
+  SlotBatch draws(plane, phase, begin, end);
+  for (std::size_t i = begin; i < end; ++i) {
+    if (i + kDegreeAhead < end) acc.prefetch_degree(callers[i + kDegreeAhead]);
+    if (i + kRowAhead < end) acc.prefetch_row(callers[i + kRowAhead]);
+    body(i, callers[i], draws);
+  }
+}
 
 }  // namespace rumor

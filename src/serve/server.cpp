@@ -962,7 +962,13 @@ void Server::abandon() {
   // teardown must run on ITS thread — we signal and wait for it; the
   // loop notices within one poll timeout.
   impl_->abandon_.store(true, std::memory_order_relaxed);
-  if (impl_->wake_write_ >= 0) impl_->wake();
+  {
+    // Wake the loop only while teardown has not started: teardown claims
+    // torn_down_ under this mutex before it closes the wake pipe, so the
+    // write can never land on a closed (or reused) fd.
+    std::lock_guard lock(impl_->teardown_mutex_);
+    if (!impl_->torn_down_ && impl_->wake_write_ >= 0) impl_->wake();
+  }
   if (impl_->loop_active_.load(std::memory_order_acquire)) {
     while (impl_->loop_active_.load(std::memory_order_acquire)) {
       std::this_thread::yield();

@@ -1,5 +1,7 @@
 #include "support/philox.hpp"
 
+#include <cstring>
+
 #if defined(__SSE2__)
 #include <emmintrin.h>
 #if defined(__GNUC__) || defined(__clang__)
@@ -182,6 +184,52 @@ __attribute__((target("avx2"))) inline void mul_wide_u32_avx2(__m256i x,
   *hi = _mm256_shuffle_epi32(hi_pairs, _MM_SHUFFLE(3, 1, 2, 0));
 }
 
+// The ten Philox rounds over eight SoA lanes, in place.
+__attribute__((target("avx2"))) inline void philox_rounds_avx2(
+    __m256i& x0, __m256i& x1, __m256i& x2, __m256i& x3, std::uint32_t key0,
+    std::uint32_t key1) {
+  const __m256i m0 = _mm256_set1_epi32(static_cast<int>(kPhiloxM0));
+  const __m256i m1 = _mm256_set1_epi32(static_cast<int>(kPhiloxM1));
+  const __m256i w0 = _mm256_set1_epi32(static_cast<int>(kPhiloxW0));
+  const __m256i w1 = _mm256_set1_epi32(static_cast<int>(kPhiloxW1));
+  __m256i k0 = _mm256_set1_epi32(static_cast<int>(key0));
+  __m256i k1 = _mm256_set1_epi32(static_cast<int>(key1));
+  for (int round = 0; round < 10; ++round) {
+    __m256i p0_lo, p0_hi, p1_lo, p1_hi;
+    mul_wide_u32_avx2(x0, m0, &p0_lo, &p0_hi);
+    mul_wide_u32_avx2(x2, m1, &p1_lo, &p1_hi);
+    const __m256i y0 = _mm256_xor_si256(_mm256_xor_si256(p1_hi, x1), k0);
+    const __m256i y2 = _mm256_xor_si256(_mm256_xor_si256(p0_hi, x3), k1);
+    x0 = y0;
+    x1 = p1_lo;
+    x2 = y2;
+    x3 = p0_lo;
+    k0 = _mm256_add_epi32(k0, w0);
+    k1 = _mm256_add_epi32(k1, w1);
+  }
+}
+
+// 4x8 transpose of eight SoA lanes back to block-sequential AoS order
+// (32 words at `out`): 32-bit and 64-bit unpacks give [blk0|blk4].. pairs
+// per half-lane; the cross-lane permute then restores sequential block
+// order.
+__attribute__((target("avx2"))) inline void store_blocks_avx2(
+    std::uint32_t* out, __m256i x0, __m256i x1, __m256i x2, __m256i x3) {
+  const __m256i t0 = _mm256_unpacklo_epi32(x0, x1);
+  const __m256i t1 = _mm256_unpacklo_epi32(x2, x3);
+  const __m256i t2 = _mm256_unpackhi_epi32(x0, x1);
+  const __m256i t3 = _mm256_unpackhi_epi32(x2, x3);
+  const __m256i b04 = _mm256_unpacklo_epi64(t0, t1);  // [blk0 | blk4]
+  const __m256i b15 = _mm256_unpackhi_epi64(t0, t1);  // [blk1 | blk5]
+  const __m256i b26 = _mm256_unpacklo_epi64(t2, t3);  // [blk2 | blk6]
+  const __m256i b37 = _mm256_unpackhi_epi64(t2, t3);  // [blk3 | blk7]
+  auto* v = reinterpret_cast<__m256i*>(out);
+  _mm256_storeu_si256(v + 0, _mm256_permute2x128_si256(b04, b15, 0x20));
+  _mm256_storeu_si256(v + 1, _mm256_permute2x128_si256(b26, b37, 0x20));
+  _mm256_storeu_si256(v + 2, _mm256_permute2x128_si256(b04, b15, 0x31));
+  _mm256_storeu_si256(v + 3, _mm256_permute2x128_si256(b26, b37, 0x31));
+}
+
 // Eight blocks per iteration; bit-identical to refill_sse2 / refill_scalar.
 __attribute__((target("avx2"))) void refill_avx2(std::uint32_t* buf,
                                                  std::uint64_t block,
@@ -190,10 +238,6 @@ __attribute__((target("avx2"))) void refill_avx2(std::uint32_t* buf,
                                                  std::uint32_t key1) {
   constexpr std::size_t kLanes = 8;
   constexpr std::size_t kGroups = kBufWords / (4 * kLanes);
-  const __m256i m0 = _mm256_set1_epi32(static_cast<int>(kPhiloxM0));
-  const __m256i m1 = _mm256_set1_epi32(static_cast<int>(kPhiloxM1));
-  const __m256i w0 = _mm256_set1_epi32(static_cast<int>(kPhiloxW0));
-  const __m256i w1 = _mm256_set1_epi32(static_cast<int>(kPhiloxW1));
   for (std::size_t g = 0; g < kGroups; ++g) {
     const std::uint64_t b = block + g * kLanes;
     __m256i x0 = _mm256_set_epi32(
@@ -211,37 +255,39 @@ __attribute__((target("avx2"))) void refill_avx2(std::uint32_t* buf,
     }
     __m256i x2 = _mm256_set1_epi32(static_cast<int>(stream));
     __m256i x3 = _mm256_setzero_si256();
-    __m256i k0 = _mm256_set1_epi32(static_cast<int>(key0));
-    __m256i k1 = _mm256_set1_epi32(static_cast<int>(key1));
-    for (int round = 0; round < 10; ++round) {
-      __m256i p0_lo, p0_hi, p1_lo, p1_hi;
-      mul_wide_u32_avx2(x0, m0, &p0_lo, &p0_hi);
-      mul_wide_u32_avx2(x2, m1, &p1_lo, &p1_hi);
-      const __m256i y0 = _mm256_xor_si256(_mm256_xor_si256(p1_hi, x1), k0);
-      const __m256i y2 = _mm256_xor_si256(_mm256_xor_si256(p0_hi, x3), k1);
-      x0 = y0;
-      x1 = p1_lo;
-      x2 = y2;
-      x3 = p0_lo;
-      k0 = _mm256_add_epi32(k0, w0);
-      k1 = _mm256_add_epi32(k1, w1);
+    philox_rounds_avx2(x0, x1, x2, x3, key0, key1);
+    store_blocks_avx2(buf + g * kLanes * 4, x0, x1, x2, x3);
+  }
+}
+
+// Seq-0 plane blocks of slots first, first+1, ... (mod 2^32), eight per
+// iteration; the counter layout is SlotDraws' {slot, phase, round_lo,
+// round_hi}. A partial last group is generated whole into a local buffer
+// and only its live blocks are copied out.
+__attribute__((target("avx2"))) void fill_slots_avx2(const ShardPlane& plane,
+                                                     std::uint32_t phase,
+                                                     std::uint32_t first,
+                                                     std::uint32_t count,
+                                                     std::uint32_t* out) {
+  const __m256i lane = _mm256_set_epi32(7, 6, 5, 4, 3, 2, 1, 0);
+  const __m256i word1 = _mm256_set1_epi32(static_cast<int>(phase));
+  const __m256i word2 = _mm256_set1_epi32(static_cast<int>(plane.round_lo));
+  const __m256i word3 = _mm256_set1_epi32(static_cast<int>(plane.round_hi));
+  for (std::uint32_t j = 0; j < count; j += 8) {
+    __m256i x0 = _mm256_add_epi32(
+        _mm256_set1_epi32(static_cast<int>(first + j)), lane);
+    __m256i x1 = word1;
+    __m256i x2 = word2;
+    __m256i x3 = word3;
+    philox_rounds_avx2(x0, x1, x2, x3, plane.k0, plane.k1);
+    if (count - j >= 8) {
+      store_blocks_avx2(out + std::size_t{j} * 4, x0, x1, x2, x3);
+    } else {
+      std::uint32_t tail[32];
+      store_blocks_avx2(tail, x0, x1, x2, x3);
+      std::memcpy(out + std::size_t{j} * 4, tail,
+                  std::size_t{count - j} * 4 * sizeof(std::uint32_t));
     }
-    // 4x8 transpose back to block-sequential AoS order: 32-bit and 64-bit
-    // unpacks give [blk0|blk4].. pairs per half-lane; the cross-lane
-    // permute then restores sequential block order.
-    const __m256i t0 = _mm256_unpacklo_epi32(x0, x1);
-    const __m256i t1 = _mm256_unpacklo_epi32(x2, x3);
-    const __m256i t2 = _mm256_unpackhi_epi32(x0, x1);
-    const __m256i t3 = _mm256_unpackhi_epi32(x2, x3);
-    const __m256i b04 = _mm256_unpacklo_epi64(t0, t1);  // [blk0 | blk4]
-    const __m256i b15 = _mm256_unpackhi_epi64(t0, t1);  // [blk1 | blk5]
-    const __m256i b26 = _mm256_unpacklo_epi64(t2, t3);  // [blk2 | blk6]
-    const __m256i b37 = _mm256_unpackhi_epi64(t2, t3);  // [blk3 | blk7]
-    auto* out = reinterpret_cast<__m256i*>(buf + g * kLanes * 4);
-    _mm256_store_si256(out + 0, _mm256_permute2x128_si256(b04, b15, 0x20));
-    _mm256_store_si256(out + 1, _mm256_permute2x128_si256(b26, b37, 0x20));
-    _mm256_store_si256(out + 2, _mm256_permute2x128_si256(b04, b15, 0x31));
-    _mm256_store_si256(out + 3, _mm256_permute2x128_si256(b26, b37, 0x31));
   }
 }
 
@@ -268,6 +314,29 @@ void PhiloxStream::refill() {
 #endif
   block_ += kBufWords / 4;
   pos_ = 0;
+}
+
+void philox_fill_slots_reference(const ShardPlane& plane, std::uint32_t phase,
+                                 std::uint32_t first, std::uint32_t count,
+                                 std::uint32_t* out) {
+  for (std::uint32_t j = 0; j < count; ++j) {
+    const auto block = philox4x32(
+        {first + j, phase, plane.round_lo, plane.round_hi}, plane.k0,
+        plane.k1);
+    std::memcpy(out + std::size_t{j} * 4, block.data(), sizeof(block));
+  }
+}
+
+void philox_fill_slots(const ShardPlane& plane, std::uint32_t phase,
+                       std::uint32_t first, std::uint32_t count,
+                       std::uint32_t* out) {
+#if defined(RUMOR_PHILOX_AVX2_DISPATCH)
+  if (cpu_has_avx2()) {
+    fill_slots_avx2(plane, phase, first, count, out);
+    return;
+  }
+#endif
+  philox_fill_slots_reference(plane, phase, first, count, out);
 }
 
 // ---- Geometric gap kernel ----------------------------------------------

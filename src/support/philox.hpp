@@ -26,6 +26,7 @@
 
 #include <array>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 
 #include "support/rng.hpp"
@@ -192,6 +193,20 @@ class PhiloxStream {
 // than one block — rejection sampling may draw any number of words, and the
 // chain keeps those continuation words addressable by slot alone. 2^24
 // blocks per (slot, phase) is ~6e7 words: beyond any rejection loop.
+//
+// Generation is batched wherever a pass visits a dense slot range: the
+// seq-0 blocks of 64 consecutive slots come from one vectorized fill
+// (philox_fill_slots, AVX2 when the CPU has it), and each slot's SlotDraws
+// starts on its pre-filled block and continues the same chain at seq 1.
+// Nearly every slot reads only its first block (one walk step, one call
+// plus a loss or success word), so the scalar path survives only for
+// rejection retries and continuation words. Which words a slot reads is
+// unchanged by the batching: a batched slot and a fresh SlotDraws chain
+// yield the same sequence, bit for bit. The walk step and the push/pull
+// caller passes batch (every slot draws). The agent-inform, agent-catch
+// and meet sites construct SlotDraws per slot: they draw only under a
+// General transmission model and only for the few slots that reach an
+// attempt, so a batch would mostly generate blocks nothing reads.
 
 inline constexpr std::uint64_t kShardDrawSalt = 0x51AED2A9C0DE5A17ULL;
 
@@ -230,6 +245,17 @@ class SlotDraws {
   SlotDraws(const ShardPlane& plane, std::uint32_t phase, std::uint32_t slot)
       : plane_(plane), slot_(slot), word1_(phase) {}
 
+  // The same chain, with its seq-0 block already generated (by
+  // philox_fill_slots): serves those four words first, then continues at
+  // seq 1.
+  SlotDraws(const ShardPlane& plane, std::uint32_t phase, std::uint32_t slot,
+            const std::uint32_t* seq0)
+      : plane_(plane),
+        buf_{seq0[0], seq0[1], seq0[2], seq0[3]},
+        pos_(0),
+        slot_(slot),
+        word1_(phase + 256) {}
+
   [[nodiscard]] std::uint32_t next_u32() {
     if (pos_ == 4) refill();
     return buf_[pos_++];
@@ -264,6 +290,61 @@ class SlotDraws {
   std::uint32_t pos_ = 4;  // refill on first draw
   std::uint32_t slot_;
   std::uint32_t word1_;
+};
+
+// Batch fill of the plane's seq-0 blocks: out[4j .. 4j+3] is the first
+// block of SlotDraws(plane, phase, first + j) for j in [0, count), with the
+// 32-bit slot counter wrapping like SlotDraws' own. Runtime-dispatches to
+// an AVX2 eight-lane variant when available; every path is bit-identical
+// to the scalar reference below.
+void philox_fill_slots(const ShardPlane& plane, std::uint32_t phase,
+                       std::uint32_t first, std::uint32_t count,
+                       std::uint32_t* out);
+
+// The always-scalar reference for the fill above (one philox4x32 per slot),
+// exposed so tests can pin the dispatched path against it.
+void philox_fill_slots_reference(const ShardPlane& plane, std::uint32_t phase,
+                                 std::uint32_t first, std::uint32_t count,
+                                 std::uint32_t* out);
+
+// The batched word source for one shard's dense pass over the slots
+// [begin, end) of one phase: at(slot) returns that slot's SlotDraws, with
+// its seq-0 block taken from a 64-slot batch filled on demand. Slots must
+// be asked for in non-decreasing order; skipping slots is allowed (their
+// blocks were generated and go unread). The buffer lives inside the
+// object — on the caller's stack — so a pass allocates nothing.
+class SlotBatch {
+ public:
+  static constexpr std::uint32_t kSlots = 64;
+
+  SlotBatch(const ShardPlane& plane, std::uint32_t phase, std::size_t begin,
+            std::size_t end)
+      : plane_(plane), phase_(phase), begin_(begin), end_(end) {}
+
+  [[nodiscard]] std::size_t begin() const { return begin_; }
+
+  [[nodiscard]] SlotDraws at(std::size_t slot) {
+    if (slot >= filled_end_) fill(slot);
+    return SlotDraws(plane_, phase_, static_cast<std::uint32_t>(slot),
+                     &words_[(slot - filled_begin_) * 4]);
+  }
+
+ private:
+  void fill(std::size_t slot) {
+    filled_begin_ = slot;
+    filled_end_ = slot + kSlots < end_ ? slot + kSlots : end_;
+    philox_fill_slots(plane_, phase_, static_cast<std::uint32_t>(slot),
+                      static_cast<std::uint32_t>(filled_end_ - slot),
+                      words_.data());
+  }
+
+  const ShardPlane& plane_;
+  std::uint32_t phase_;
+  std::size_t begin_;
+  std::size_t end_;
+  std::size_t filled_begin_ = 0;
+  std::size_t filled_end_ = 0;
+  alignas(32) std::array<std::uint32_t, 4 * kSlots> words_;
 };
 
 // Batch geometric-gap kernel: draws `count` words from `stream` (whole

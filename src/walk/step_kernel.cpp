@@ -2,7 +2,7 @@
 
 #include <bit>
 
-#include "graph/access.hpp"
+#include "graph/implicit.hpp"
 #include "support/philox.hpp"
 #include "support/thread_pool.hpp"
 
@@ -30,6 +30,18 @@ inline void prefetch(const void* p) {
 #endif
 }
 
+// The word source walker i of a batched loop draws from. A serial stream
+// (xoshiro, PhiloxStream) is one chain shared by every walker in ascending
+// order; the sharded plane gives walker i its own chain, slot = the
+// shard's first walker + i, with seq-0 blocks batch-filled 64 at a time.
+template <class WordSource>
+inline WordSource& walker_words(WordSource& words, std::size_t /*i*/) {
+  return words;
+}
+inline SlotDraws walker_words(SlotBatch& batch, std::size_t i) {
+  return batch.at(batch.begin() + i);
+}
+
 // Checked scalar reference: one agent at a time through the public Graph
 // API. Shares the draw helpers with the batched engine, so trajectories are
 // bit-identical across engines.
@@ -54,7 +66,7 @@ void step_scalar(const Graph& g, std::span<Vertex> positions, WordSource& rng,
 // pipeline, Lemire slot draw (identical to Rng::below).
 template <bool kLazy, bool kTraced, class WordSource>
 void step_batched(const CsrView csr, std::span<Vertex> positions,
-                  WordSource& rng, std::uint64_t* traffic) {
+                  WordSource& words, std::uint64_t* traffic) {
   const std::size_t count = positions.size();
   Vertex* pos = positions.data();
   for (std::size_t i = 0; i < count; ++i) {
@@ -69,6 +81,7 @@ void step_batched(const CsrView csr, std::span<Vertex> positions,
     const Vertex v = pos[i];
     const std::uint32_t off = csr.offsets[v];
     const std::uint32_t deg = csr.offsets[v + 1] - off;
+    auto&& rng = walker_words(words, i);
     std::uint32_t slot;
     if constexpr (kLazy) {
       if (!fused_lazy_slot(rng, deg, slot)) continue;
@@ -85,13 +98,14 @@ void step_batched(const CsrView csr, std::span<Vertex> positions,
 // two, and the row prefetch needs no pipeline stage.
 template <bool kLazy, bool kTraced, class WordSource>
 void step_batched_regular(const CsrView csr, std::uint32_t deg,
-                          std::span<Vertex> positions, WordSource& rng,
+                          std::span<Vertex> positions, WordSource& words,
                           std::uint64_t* traffic) {
   const std::size_t count = positions.size();
   Vertex* pos = positions.data();
   auto body = [&](std::size_t i) {
     const Vertex v = pos[i];
     const std::uint64_t off = static_cast<std::uint64_t>(v) * deg;
+    auto&& rng = walker_words(words, i);
     std::uint32_t slot;
     if constexpr (kLazy) {
       if (!fused_lazy_slot(rng, deg, slot)) return;
@@ -120,7 +134,7 @@ void step_batched_regular(const CsrView csr, std::uint32_t deg,
 // regular-graph bench families.
 template <bool kLazy, bool kTraced, class WordSource>
 void step_batched_regular_pow2(const CsrView csr, std::uint32_t deg,
-                               std::span<Vertex> positions, WordSource& rng,
+                               std::span<Vertex> positions, WordSource& words,
                                std::uint64_t* traffic) {
   const int log2deg = std::countr_zero(deg);
   const std::size_t count = positions.size();
@@ -128,7 +142,7 @@ void step_batched_regular_pow2(const CsrView csr, std::uint32_t deg,
   auto body = [&](std::size_t i) {
     const Vertex v = pos[i];
     const std::uint64_t off = static_cast<std::uint64_t>(v) << log2deg;
-    const std::uint64_t x = rng();
+    const std::uint64_t x = walker_words(words, i)();
     std::uint32_t slot;
     if constexpr (kLazy) {
       if ((x >> 63) != 0) return;  // the fused coin, as in fused_lazy_slot
@@ -184,12 +198,13 @@ void step_batched_regular_pow2(const CsrView csr, std::uint32_t deg,
 // would produce.
 template <bool kLazy, bool kTraced, class WordSource>
 void step_implicit(const ImplicitDesc& d, std::span<Vertex> positions,
-                   WordSource& rng, std::uint64_t* traffic) {
+                   WordSource& words, std::uint64_t* traffic) {
   const std::size_t count = positions.size();
   Vertex* pos = positions.data();
   for (std::size_t i = 0; i < count; ++i) {
     const Vertex v = pos[i];
     const std::uint32_t deg = implicit_degree(d, v);
+    auto&& rng = walker_words(words, i);
     std::uint32_t slot;
     if constexpr (kLazy) {
       if (!fused_lazy_slot(rng, deg, slot)) continue;
@@ -201,23 +216,25 @@ void step_implicit(const ImplicitDesc& d, std::span<Vertex> positions,
   }
 }
 
-// Structure-based batched dispatch, shared by the xoshiro and Philox word
-// sources: the implicit backend takes the arithmetic loop, regular
-// power-of-two degrees take the shift path, regular degrees skip the
-// offsets stream, everything else runs the two-stage prefetch pipeline.
+// Structure-based batched dispatch, shared by the serial word sources
+// (xoshiro, PhiloxStream) and the sharded plane (SlotBatch): the implicit
+// backend takes the arithmetic loop, regular power-of-two degrees take the
+// shift path, regular degrees skip the offsets stream, everything else
+// runs the two-stage prefetch pipeline.
 template <bool kLazy, bool kTraced, class WordSource>
 void dispatch_batched(const Graph& g, std::span<Vertex> positions,
-                      WordSource& rng, std::uint64_t* traffic) {
+                      WordSource& words, std::uint64_t* traffic) {
   if (g.is_implicit()) {
-    step_implicit<kLazy, kTraced>(g.implicit_desc(), positions, rng, traffic);
+    step_implicit<kLazy, kTraced>(g.implicit_desc(), positions, words,
+                                  traffic);
   } else if (g.is_regular() && g.degrees_all_pow2()) {
     step_batched_regular_pow2<kLazy, kTraced>(g.csr(), g.min_degree(),
-                                              positions, rng, traffic);
+                                              positions, words, traffic);
   } else if (g.is_regular()) {
     step_batched_regular<kLazy, kTraced>(g.csr(), g.min_degree(), positions,
-                                         rng, traffic);
+                                         words, traffic);
   } else {
-    step_batched<kLazy, kTraced>(g.csr(), positions, rng, traffic);
+    step_batched<kLazy, kTraced>(g.csr(), positions, words, traffic);
   }
 }
 
@@ -241,26 +258,6 @@ void dispatch(const Graph& g, std::span<Vertex> positions, Rng& rng,
   }
 }
 
-// One shard's range of the sharded step: every walker owns its addressable
-// draw chain, so execution order across shards is immaterial. Templated on
-// the access policy like the serial kernels (CSR loads vs closed-form
-// arithmetic, resolved once per call).
-template <bool kLazy, class Access>
-void step_range_sharded(const Access& acc, Vertex* pos, std::size_t begin,
-                        std::size_t end, const ShardPlane& plane) {
-  for (std::size_t i = begin; i < end; ++i) {
-    const GraphRow row = acc.row(pos[i]);
-    SlotDraws draws(plane, kShardPhaseWalk, static_cast<std::uint32_t>(i));
-    std::uint32_t slot;
-    if constexpr (kLazy) {
-      if (!fused_lazy_slot(draws, row.deg, slot)) continue;
-    } else {
-      slot = word_below(draws, row.deg);
-    }
-    pos[i] = acc.pick(row, slot);
-  }
-}
-
 }  // namespace
 
 void step_walks_sharded(const Graph& g, std::span<Vertex> positions,
@@ -268,19 +265,23 @@ void step_walks_sharded(const Graph& g, std::span<Vertex> positions,
                         Laziness lazy, std::uint32_t shards) {
   RUMOR_CHECK(g.min_degree() > 0);
   const ShardPlane plane(trial_seed, round);
-  Vertex* pos = positions.data();
   const bool lazy_half = lazy == Laziness::half;
-  with_graph_access(g, [&](const auto& acc) {
-    shard_pool().parallel_for_ranges(
-        positions.size(), shards,
-        [&](std::size_t /*shard*/, std::size_t begin, std::size_t end) {
-          if (lazy_half) {
-            step_range_sharded<true>(acc, pos, begin, end, plane);
-          } else {
-            step_range_sharded<false>(acc, pos, begin, end, plane);
-          }
-        });
-  });
+  // flatten: the regular loops' per-walker body lambdas would otherwise
+  // stay out of line for this word source (the inliner sizes them before
+  // the per-slot chain's cold refill folds away), costing a call per
+  // walker. Applied here, it leaves the serial instantiations untouched.
+  shard_pool().parallel_for_ranges(
+      positions.size(), shards,
+      [&](std::size_t /*shard*/, std::size_t begin, std::size_t end)
+          __attribute__((flatten)) {
+        SlotBatch draws(plane, kShardPhaseWalk, begin, end);
+        const auto range = positions.subspan(begin, end - begin);
+        if (lazy_half) {
+          dispatch_batched<true, false>(g, range, draws, nullptr);
+        } else {
+          dispatch_batched<false, false>(g, range, draws, nullptr);
+        }
+      });
 }
 
 void step_walks(const Graph& g, std::span<Vertex> positions, Rng& rng,

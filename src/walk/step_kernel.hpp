@@ -22,6 +22,15 @@
 // untraced one — so enabling tracing or switching engines never changes
 // the simulated trajectory for a given seed. The scalar engine is retained
 // as the differential baseline for the equivalence tests and benchmarks.
+//
+// The sharded step runs the same batched loops (implicit, pow2-regular,
+// regular, and the irregular prefetch pipeline) on each shard's walker
+// range. Only the word source differs: instead of one serial stream,
+// walker i reads its own slot chain of the sharded draw plane, whose
+// first Philox blocks are generated 64 walkers at a time by the SIMD slot
+// fill (support/philox.hpp, SlotBatch). So the sharded engine gets the
+// prefetch pipeline and the fast paths for free, and the serial kernels
+// compile exactly as before.
 #pragma once
 
 #include <cstdint>
@@ -102,11 +111,12 @@ void step_walks(const Graph& g, std::span<Vertex> positions, Rng& rng,
                 StepEngine engine = StepEngine::batched);
 
 // Frontier-sharded stepping: the walker span is split into balanced
-// contiguous ranges executed on the ambient shard_pool(). Walker i draws
-// from its OWN addressable chain — SlotDraws(plane(trial_seed, round),
-// kShardPhaseWalk, i) — so the trajectory is a pure function of
-// (trial_seed, round, positions): bit-identical for every shard count and
-// worker count, by construction. Trajectories differ from the serial
+// contiguous ranges executed on the ambient shard_pool(), each through the
+// batched loops above. Walker i draws from its OWN addressable chain —
+// SlotDraws(plane(trial_seed, round), kShardPhaseWalk, i), its seq-0 block
+// batch-filled with its range neighbours' — so the trajectory is a pure
+// function of (trial_seed, round, positions): bit-identical for every
+// shard count and worker count, by construction. Trajectories differ from the serial
 // engines above (a different draw plane), which is why sharding is an
 // explicit engine choice, not a transparent fast path. Position writes are
 // range-disjoint, so the parallel pass is race-free. Edge-traffic tracing

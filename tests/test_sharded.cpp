@@ -33,6 +33,7 @@
 #include "support/philox.hpp"
 #include "support/thread_pool.hpp"
 #include "support/trial_arena.hpp"
+#include "walk/step_kernel.hpp"
 
 namespace rumor {
 namespace {
@@ -149,6 +150,121 @@ TEST(ShardDraws, UnitDoublesAreInRange) {
     const double u = draws.next_unit_double();
     EXPECT_GE(u, 0.0);
     EXPECT_LT(u, 1.0);
+  }
+}
+
+// ---- Batched slot fills --------------------------------------------------
+
+constexpr std::uint32_t kAllPhases[] = {
+    kShardPhaseWalk,        kShardPhasePush,        kShardPhasePull,
+    kShardPhaseAgentInform, kShardPhaseAgentCatch,  kShardPhaseMeet};
+
+TEST(ShardDraws, BatchFillMatchesReferenceAndSlotDraws) {
+  const ShardPlane plane(/*trial_seed=*/91, /*round=*/0x1234567890ull);
+  // Unaligned starts, a large one, and every start within 8 of 2^32, where
+  // the 32-bit slot counter wraps inside the batch.
+  std::vector<std::uint32_t> firsts = {0, 1, 3, 5, 7, 13, 1000003};
+  for (std::uint32_t k = 1; k <= 8; ++k) firsts.push_back(0u - k);
+  constexpr std::uint32_t kMaxCount = 130;
+  constexpr std::uint32_t kCanary = 0xC0FFEE11u;
+  for (const std::uint32_t phase : kAllPhases) {
+    for (const std::uint32_t first : firsts) {
+      for (std::uint32_t count = 0; count <= kMaxCount; ++count) {
+        std::vector<std::uint32_t> fast(4 * kMaxCount + 4, kCanary);
+        std::vector<std::uint32_t> ref(4 * kMaxCount + 4, kCanary);
+        philox_fill_slots(plane, phase, first, count, fast.data());
+        philox_fill_slots_reference(plane, phase, first, count, ref.data());
+        ASSERT_EQ(fast, ref) << "phase " << phase << " first " << first
+                             << " count " << count;
+        // Nothing past the last block is written.
+        EXPECT_EQ(fast[4 * count], kCanary);
+        if (count != kMaxCount) continue;
+        for (std::uint32_t j = 0; j < count; ++j) {
+          SlotDraws chain(plane, phase, first + j);
+          for (std::uint32_t w = 0; w < 4; ++w) {
+            ASSERT_EQ(fast[4 * j + w], chain.next_u32())
+                << "phase " << phase << " slot " << first + j;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ShardDraws, BatchedSlotsContinueTheSameChain) {
+  // Past its four pre-filled words a batched slot continues at seq 1, so
+  // every word it serves — rejection retries and loss/tp words included —
+  // is the word a fresh SlotDraws chain serves. Slots are skipped freely
+  // and the range crosses several 64-slot batches.
+  const ShardPlane plane(/*trial_seed=*/5, /*round=*/3);
+  for (const std::uint32_t phase : kAllPhases) {
+    SlotBatch batch(plane, phase, /*begin=*/5, /*end=*/300);
+    for (const std::size_t slot : {5u, 6u, 9u, 68u, 69u, 70u, 200u, 299u}) {
+      SlotDraws batched = batch.at(slot);
+      SlotDraws fresh(plane, phase, static_cast<std::uint32_t>(slot));
+      for (int w = 0; w < 13; ++w) {
+        ASSERT_EQ(batched.next_u32(), fresh.next_u32())
+            << "phase " << phase << " slot " << slot << " word " << w;
+      }
+    }
+  }
+}
+
+// A word source that serves hand-made seq-0 words, then the slot's real
+// chain from seq 1 on: what a batched slot must serve when its seq-0
+// block holds exactly these words. Counts the words it hands out.
+class HandMadeChain {
+ public:
+  HandMadeChain(const ShardPlane& plane, std::uint32_t phase,
+                std::uint32_t slot, const std::uint32_t* seq0)
+      : head_(seq0), tail_(plane, phase, slot) {
+    for (int w = 0; w < 4; ++w) (void)tail_.next_u32();  // skip seq 0
+  }
+  std::uint32_t next_u32() {
+    ++served;
+    return served <= 4 ? head_[served - 1] : tail_.next_u32();
+  }
+  std::uint64_t operator()() {
+    const std::uint64_t lo = next_u32();
+    return lo | (std::uint64_t{next_u32()} << 32);
+  }
+  int served = 0;
+
+ private:
+  const std::uint32_t* head_;
+  SlotDraws tail_;
+};
+
+TEST(ShardDraws, LemireRejectionOnBatchedWordsReadsTheContinuation) {
+  const ShardPlane plane(/*trial_seed=*/17, /*round=*/2);
+  constexpr std::uint32_t kSlot = 77;
+  // All-zero words: x = 0 always lands in the rejection zone (low 0 <
+  // 2^64 mod 3 for word_below, 0 < 2^63 mod 3 with a move coin for
+  // fused_lazy_slot), so both u64s of the block are rejected and the
+  // answer comes from the seq-1 block.
+  const std::uint32_t zeros[4] = {0, 0, 0, 0};
+  // One rejected u64, then an accepted one from the same block.
+  const std::uint32_t one_reject[4] = {0, 0, 0x9E3779B9u, 0x3C6EF372u};
+  for (const std::uint32_t* seq0 : {zeros, one_reject}) {
+    for (const std::uint32_t bound : {3u, 5u, 7u, 1000003u}) {
+      {
+        SlotDraws batched(plane, kShardPhasePush, kSlot, seq0);
+        HandMadeChain expect(plane, kShardPhasePush, kSlot, seq0);
+        EXPECT_EQ(word_below(batched, bound), word_below(expect, bound))
+            << "bound " << bound;
+        EXPECT_GT(expect.served, 2) << "rejection branch not taken";
+      }
+      {
+        SlotDraws batched(plane, kShardPhaseWalk, kSlot, seq0);
+        HandMadeChain expect(plane, kShardPhaseWalk, kSlot, seq0);
+        std::uint32_t got = 0;
+        std::uint32_t want = 0;
+        ASSERT_TRUE(fused_lazy_slot(batched, bound, got));
+        ASSERT_TRUE(fused_lazy_slot(expect, bound, want));
+        EXPECT_EQ(got, want) << "bound " << bound;
+        EXPECT_GT(expect.served, 2) << "rejection branch not taken";
+      }
+    }
   }
 }
 
