@@ -154,12 +154,12 @@ void list_registry() {
       "\nfrontier-sharded rounds (push, push-pull, visit-exchange, "
       "meet-exchange,\nhybrid):\n"
       "  shards=auto|N  auto: shard iff n >= %llu; N >= 1: always shard,\n"
-      "  N partitions. One trial then fans its round across the pool when\n"
-      "  queued trials can't fill it. The sharded engine draws from an\n"
-      "  addressable per-slot Philox plane, so its trajectories differ\n"
-      "  from the serial legacy engine but are identical for every shard\n"
-      "  count and worker count. Incompatible with edge_traffic=on and a\n"
-      "  non-default engine= key.\n",
+      "  N partitions. Each worker runs one trial and fans its rounds out\n"
+      "  on the pool; idle workers join in-flight rounds. The sharded\n"
+      "  engine draws from an addressable per-slot Philox plane, so its\n"
+      "  trajectories differ from the serial legacy engine but are\n"
+      "  identical for every shard count and worker count. Incompatible\n"
+      "  with edge_traffic=on and a non-default engine= key.\n",
       static_cast<unsigned long long>(kShardAutoThreshold));
   std::printf(
       "\ntransmission model & interventions (protocol options; multi-rumor "

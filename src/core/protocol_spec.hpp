@@ -93,7 +93,7 @@ struct ProtocolSpec {
   // The spec's shards= option for the simulators that honor the
   // frontier-sharded round engine (push, push-pull, visit-exchange,
   // meet-exchange, hybrid); 0 — i.e. "serial legacy" — for every other
-  // protocol. Feeds the two-axis trial schedule (experiments/trials).
+  // protocol.
   [[nodiscard]] std::uint32_t shards() const;
 
   friend bool operator==(const ProtocolSpec&, const ProtocolSpec&) = default;

@@ -7,9 +7,10 @@
 // Implementation note: only two kinds of calls can change the state —
 // pushes by informed vertices with an uninformed neighbor, and pulls by
 // uninformed vertices adjacent to an informed one. All other calls are
-// no-ops by definition, so the simulator iterates exactly those two sets
-// (see DESIGN.md "law-preserving optimizations"; differentially tested
-// against reference_push_pull).
+// no-ops by definition, so the simulator iterates exactly those two sets.
+// Skipping a no-op call changes no vertex's state, so the skip preserves
+// the broadcast-time law (differentially tested against
+// reference_push_pull).
 //
 // Scratch state (inform rounds, neighbor counters, caller/frontier lists)
 // lives in a TrialArena for O(1) per-trial reset and allocation-free

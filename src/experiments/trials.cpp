@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/sharding.hpp"
 #include "support/thread_pool.hpp"
 #include "support/trial_arena.hpp"
 
@@ -36,18 +35,6 @@ bool record_trial(TrialSet& set, std::size_t i, TrialResult&& outcome,
 bool batch_wants_curves(const TrialBatch& batch) {
   const TraceOptions* trace = batch.protocol->trace();
   return trace != nullptr && trace->informed_curve;
-}
-
-// Graph size a batch will run on, without building anything: the eager
-// graph answers directly, spec-driven batches answer from the analytic
-// probe. A probe failure reads as 0 ("not huge") — make() surfaces the
-// real error when the trial actually runs.
-std::uint64_t batch_vertex_count(const TrialBatch& batch) {
-  if (batch.graph != nullptr) return batch.graph->num_vertices();
-  const GraphSpec* spec =
-      batch.fresh_spec != nullptr ? batch.fresh_spec : batch.lazy_spec;
-  const auto probe = spec->probe();
-  return probe ? probe->n : 0;
 }
 
 }  // namespace
@@ -194,9 +181,7 @@ TrialRunOutcome run_trial_batches(const std::vector<TrialBatch>& batches,
   ThreadPool* pool = options.pool != nullptr ? options.pool : &global_pool();
 
   // One trial, by flat index: claim bookkeeping, the run itself,
-  // first-failure capture, and batch retirement. Shared verbatim by both
-  // axes of the schedule below, so a trial's observable effects cannot
-  // depend on which axis executed it.
+  // first-failure capture, and batch retirement.
   auto run_flat = [&](std::size_t flat) {
     if (cancelled.load(std::memory_order_relaxed)) return;
     if (options.stop != nullptr &&
@@ -240,61 +225,18 @@ TrialRunOutcome run_trial_batches(const std::vector<TrialBatch>& batches,
     }
   };
 
-  // Two-axis schedule. The narrow axis is the classic one-trial-one-worker
-  // drain; the wide axis gives a single trial the WHOLE pool: the caller
-  // thread runs it and the sharded round kernels inside fan their frontier
-  // ranges across the workers via parallel_for_ranges. A batch's trials go
-  // wide only when its sharded engine is on for its graph (spec + probed
-  // n, see core/sharding) AND the queued trials cannot fill the pool by
-  // themselves — with enough queued trials, trial-level parallelism
-  // already saturates the machine and each trial's nested range fan-out
-  // flattens inline on its worker. Either way every sample is
-  // derive_seed(master_seed, i): the axis changes worker assignment, never
-  // results or emission order.
-  std::vector<std::size_t> wide_flats;
-  std::vector<std::size_t> narrow_flats;
-  narrow_flats.reserve(total);
-  const std::size_t workers = pool->worker_count();
-  const bool wide_eligible = workers >= 2 && total < workers;
-  for (std::size_t p = 0; p < n; ++p) {
-    const TrialBatch& batch = batches[exec[p]];
-    const bool wide =
-        wide_eligible && sharding_enabled(batch.protocol->shards(),
-                                          batch_vertex_count(batch));
-    auto& flats = wide ? wide_flats : narrow_flats;
-    for (std::size_t flat = offsets[p]; flat < offsets[p + 1]; ++flat) {
-      flats.push_back(flat);
-    }
-  }
-
-  // Wide trials first, sequentially: the narrow drain that follows starts
-  // against a fully idle pool. The ambient shard pool is pointed at THIS
-  // run's pool for the duration (and restored — it is thread-local, so
-  // concurrent drains on distinct pools, as in the serve daemon, cannot
-  // clobber each other).
-  if (!wide_flats.empty()) {
-    ThreadPool* prev = set_shard_pool(pool);
-    for (const std::size_t flat : wide_flats) run_flat(flat);
-    set_shard_pool(prev);
-  }
-  // Trials are macroscopic (a whole protocol run), so claiming them one at
-  // a time costs nothing and keeps mixed-duration batches balanced: a
-  // worker never gets stuck holding a chunk of long-tail trials while the
-  // rest of the pool idles. Each worker's ambient shard pool is this pool,
-  // so a sharded trial claimed narrow flattens its range fan-out inline
-  // (ThreadPool rejects nested fan-out by flattening) instead of deadlock
-  // or oversubscription.
-  if (!narrow_flats.empty()) {
-    const std::size_t chunk = n > 1 ? 1 : 0;
-    pool->parallel_for_indexed(
-        narrow_flats.size(),
-        [&](std::size_t /*worker*/, std::size_t idx) {
-          ThreadPool* prev = set_shard_pool(pool);
-          run_flat(narrow_flats[idx]);
-          set_shard_pool(prev);
-        },
-        chunk);
-  }
+  // One trial per worker. Trials are macroscopic (a whole protocol run),
+  // so claiming them one at a time costs nothing and keeps mixed-duration
+  // batches balanced: a worker never gets stuck holding a chunk of
+  // long-tail trials while the rest of the pool idles. A sharded trial's
+  // round kernels fan their ranges out on this same pool (shard_pool() on
+  // a worker, or on the caller when the pool runs the drain inline), where
+  // idle workers join in-flight rounds — so the last trials of a run still
+  // get the whole machine. Every sample is derive_seed(master_seed, i):
+  // which threads run a trial's ranges never changes its result.
+  pool->parallel_for_indexed(
+      total, [&](std::size_t /*worker*/, std::size_t flat) { run_flat(flat); },
+      n > 1 ? 1 : 0);
   if (cancelled.load()) throw TrialBatchError(failed_batch, failure);
   outcome.stopped = stopped.load();
   outcome.trials_run = trials_run.load();

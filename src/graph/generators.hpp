@@ -111,9 +111,11 @@ namespace rumor::gen {
 
 // Random d-regular simple graph via the configuration model with edge-swap
 // repair of self-loops/multi-edges. n*d must be even, d < n. The result is
-// approximately uniform (documented deviation in DESIGN.md) and is rejected
-// and resampled if disconnected (connectivity is overwhelmingly likely for
-// d >= 3).
+// only approximately uniform: rejecting non-simple pairings would be exact,
+// but its acceptance rate ~exp(-(d^2-1)/4) is impractical for d >= 8, while
+// the repair re-pairs only the O(d^2) expected loops and multi-edges, so
+// its bias is confined to those few edges. It is rejected and resampled if
+// disconnected (connectivity is overwhelmingly likely for d >= 3).
 [[nodiscard]] Graph random_regular(Vertex n, std::uint32_t d, Rng& rng);
 
 // Erdős–Rényi G(n, p) conditioned on connectivity: resamples until

@@ -14,25 +14,26 @@ namespace {
 // pool can never hand one worker slot to two live threads.
 thread_local const ThreadPool* tl_pool = nullptr;
 thread_local std::size_t tl_worker_index = 0;
-// Last range-job epoch this worker participated in; a worker only wakes
-// for a range job it has not yet drained (see parallel_for_ranges_impl).
-thread_local std::uint64_t tl_range_epoch = 0;
+// The calling thread's shard pool override (see shard_pool()). Pool
+// workers point it at their own pool for life.
+thread_local ThreadPool* tl_shard_pool = nullptr;
 
 }  // namespace
 
-// The stack-allocated descriptor an in-flight parallel_for_ranges shares
-// with participating workers. `next` is the shard claim cursor, `done`
-// counts completed shards, and `touching` counts threads still holding a
-// pointer to this frame — the caller must not return (and destroy the
-// frame) until done == shards and touching == 0.
+// The stack-allocated descriptor a published parallel_for_ranges job
+// shares with helping threads. `next` is the shard claim cursor: the
+// caller claims through it lock-free, helpers only under mutex_ while the
+// job is still listed. `done` counts finished shards (guarded by mutex_);
+// a helper's last touch of the frame is its increment, so the caller may
+// return once it has unlisted the job and seen done == shards.
 struct ThreadPool::RangeJob {
   RangeFn fn;
   void* ctx;
   std::size_t count;
   std::size_t shards;
   std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> done{0};
-  std::atomic<std::size_t> touching{0};
+  std::size_t done = 0;
+  RangeJob* link = nullptr;
 };
 
 ThreadPool::ThreadPool(std::size_t workers) {
@@ -57,51 +58,38 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::worker_loop(std::size_t worker_index) {
   tl_pool = this;
   tl_worker_index = worker_index;
+  tl_shard_pool = this;
+  std::unique_lock lock(mutex_);
   for (;;) {
-    std::function<void()> task;
-    RangeJob* range = nullptr;
-    {
-      std::unique_lock lock(mutex_);
-      cv_.wait(lock, [this] {
-        return stopping_ || !tasks_.empty() ||
-               (range_job_ != nullptr && tl_range_epoch != range_epoch_);
-      });
-      if (range_job_ != nullptr && tl_range_epoch != range_epoch_) {
-        // Pin the frame (under mutex_, while range_job_ is known valid)
-        // before dropping the lock; the caller waits for touching == 0.
-        tl_range_epoch = range_epoch_;
-        range = range_job_;
-        range->touching.fetch_add(1, std::memory_order_relaxed);
-      } else if (stopping_ && tasks_.empty()) {
-        return;
-      } else {
-        task = std::move(tasks_.front());
-        tasks_.pop();
-      }
-    }
-    if (range != nullptr) {
-      run_range_job(*range);
+    if (!tasks_.empty()) {
       {
-        std::lock_guard lock(mutex_);
-        range->touching.fetch_sub(1, std::memory_order_relaxed);
+        std::function<void()> task = std::move(tasks_.front());
+        tasks_.pop();
+        lock.unlock();
+        task();
       }
-      range_done_cv_.notify_all();
-    } else {
-      task();
+      lock.lock();
+    } else if (!help_one_range(lock)) {
+      if (stopping_) return;
+      ++idle_;
+      cv_.wait(lock);
+      --idle_;
     }
   }
 }
 
-// Claims shards off `job` until the cursor is exhausted. Runs on workers
-// and on the submitting caller alike.
-void ThreadPool::run_range_job(RangeJob& job) {
-  for (;;) {
-    const std::size_t s = job.next.fetch_add(1, std::memory_order_relaxed);
-    if (s >= job.shards) return;
-    const auto [begin, end] = shard_range(job.count, job.shards, s);
-    job.fn(job.ctx, s, begin, end);
-    job.done.fetch_add(1, std::memory_order_release);
+bool ThreadPool::help_one_range(std::unique_lock<std::mutex>& lock) {
+  for (RangeJob* job = jobs_; job != nullptr; job = job->link) {
+    const std::size_t s = job->next.fetch_add(1, std::memory_order_relaxed);
+    if (s >= job->shards) continue;
+    lock.unlock();
+    const auto [begin, end] = shard_range(job->count, job->shards, s);
+    job->fn(job->ctx, s, begin, end);
+    lock.lock();
+    if (++job->done == job->shards) range_done_cv_.notify_all();
+    return true;
   }
+  return false;
 }
 
 void ThreadPool::parallel_for(std::size_t count,
@@ -118,11 +106,14 @@ void ThreadPool::parallel_for_indexed(
   // Inline path: trivial work, a single worker, or a NESTED call from one
   // of this pool's own workers. The nested case must flatten: queueing and
   // blocking from inside the pool deadlocks once every worker is parked in
-  // a nested call with nobody left to drain the queue.
+  // a nested call with nobody left to drain the queue. Inline callbacks
+  // fan out on this pool, exactly as they would on one of its workers.
   if (count == 1 || workers == 1 || tl_pool == this) {
     const std::size_t self =
         tl_pool == this ? tl_worker_index : workers;
+    ThreadPool* const previous = set_shard_pool(this);
     for (std::size_t i = 0; i < count; ++i) fn(self, i);
+    set_shard_pool(previous);
     return;
   }
 
@@ -169,55 +160,51 @@ void ThreadPool::parallel_for_indexed(
   done_cv.wait(lock, [&] { return remaining == 0; });
 }
 
-bool ThreadPool::on_worker_thread() const { return tl_pool == this; }
-
 void ThreadPool::parallel_for_ranges_impl(std::size_t count,
                                           std::size_t shards, RangeFn fn,
                                           void* ctx) {
   if (count == 0) return;
   shards = std::min(std::max<std::size_t>(1, shards), count);
-
   // Inline path — serial, in shard order, with the same range boundaries
-  // the parallel path would use (the merge-order contract): degenerate
-  // widths, nested calls from this pool's own workers (queue-and-block
-  // would deadlock), and a pool whose single range-job slot is already
-  // occupied by a concurrent caller.
-  auto run_inline = [&] {
+  // the parallel path would use (the merge-order contract): a single
+  // range, or a single worker with nobody else to hand ranges to.
+  if (shards == 1 || threads_.size() == 1) {
     for (std::size_t s = 0; s < shards; ++s) {
       const auto [begin, end] = shard_range(count, shards, s);
       fn(ctx, s, begin, end);
     }
-  };
-  if (shards == 1 || threads_.size() == 1 || tl_pool == this) {
-    run_inline();
-    return;
-  }
-  std::unique_lock slot(range_mutex_, std::try_to_lock);
-  if (!slot.owns_lock()) {
-    run_inline();
     return;
   }
 
   RangeJob job{fn, ctx, count, shards};
+  bool wake = false;
   {
     std::lock_guard lock(mutex_);
     RUMOR_CHECK(!stopping_);
-    range_job_ = &job;
-    ++range_epoch_;
+    job.link = jobs_;
+    jobs_ = &job;
+    wake = idle_ > 0;
   }
-  cv_.notify_all();
+  if (wake) cv_.notify_all();
 
-  // The caller participates too, then waits until every shard completed
-  // AND every worker that pinned the frame released it (a worker may hold
-  // the pointer past the last claim while it exits its claim loop).
-  run_range_job(job);
-  {
-    std::unique_lock lock(mutex_);
-    range_done_cv_.wait(lock, [&] {
-      return job.done.load(std::memory_order_acquire) == job.shards &&
-             job.touching.load(std::memory_order_relaxed) == 0;
-    });
-    range_job_ = nullptr;
+  std::size_t ran = 0;
+  for (;;) {
+    const std::size_t s = job.next.fetch_add(1, std::memory_order_relaxed);
+    if (s >= shards) break;
+    const auto [begin, end] = shard_range(count, shards, s);
+    fn(ctx, s, begin, end);
+    ++ran;
+  }
+
+  // Every range is claimed: unlist the job, then help other published
+  // jobs until the helpers still running this job's ranges finish.
+  std::unique_lock lock(mutex_);
+  job.done += ran;
+  RangeJob** at = &jobs_;
+  while (*at != &job) at = &(*at)->link;
+  *at = job.link;
+  while (job.done != shards) {
+    if (!help_one_range(lock)) range_done_cv_.wait(lock);
   }
 }
 
@@ -242,12 +229,6 @@ void set_global_pool_workers(std::size_t workers) {
   RUMOR_CHECK(!g_pool_constructed.load());
   g_requested_workers.store(workers);
 }
-
-namespace {
-
-thread_local ThreadPool* tl_shard_pool = nullptr;
-
-}  // namespace
 
 ThreadPool& shard_pool() {
   return tl_shard_pool != nullptr ? *tl_shard_pool : global_pool();

@@ -18,7 +18,6 @@
 #include <algorithm>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -44,7 +43,9 @@ class ThreadPool {
   // Runs fn(i) for every i in [0, count). Blocks until all complete.
   // fn must not throw (simulation code reports failures via contract
   // aborts); work is claimed in chunks so scheduling stays balanced without
-  // one atomic operation per index.
+  // one atomic operation per index. A call from one of this pool's own
+  // workers runs inline on that worker: queueing and blocking from inside
+  // the pool deadlocks once every worker waits in a nested call.
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& fn);
 
@@ -58,23 +59,23 @@ class ThreadPool {
       const std::function<void(std::size_t, std::size_t)>& fn,
       std::size_t chunk = 0);
 
-  // True when the calling thread is one of THIS pool's workers. A nested
-  // parallel_for* from a worker flattens to a serial inline run instead of
-  // queueing (queue-and-block from inside the pool is a deadlock: with every
-  // worker blocked in a nested call there is nobody left to drain the
-  // queue).
-  [[nodiscard]] bool on_worker_thread() const;
-
   // Range-partitioned variant for sharded round kernels: splits [0, count)
   // into exactly min(shards, count) balanced contiguous ranges and runs
   // fn(shard, begin, end) for each, blocking until all complete. Range
   // boundaries depend only on (count, shards) — see shard_range — never on
   // worker count or scheduling, so callers can key deterministic state by
   // shard index. Unlike parallel_for_indexed this path performs no heap
-  // allocation: the job descriptor lives on the caller's stack and idle
-  // workers claim ranges through it. Runs inline (serially, in shard order)
-  // when shards <= 1, the pool has one worker, the caller IS a worker of
-  // this pool, or another range job is already in flight on this pool.
+  // allocation: the job descriptor lives on the caller's stack.
+  //
+  // Any number of range jobs may be in flight at once, one per calling
+  // thread, and the caller may be one of this pool's workers or any other
+  // thread. The caller publishes its job, wakes idle workers, and runs
+  // range claims itself; a worker with no queued task claims ranges from
+  // any published job. Once its own ranges are all claimed the caller
+  // helps other published jobs (range claims only — never a queued task,
+  // which is a whole trial) until its stragglers finish. Runs inline
+  // (serially, in shard order) only when shards <= 1 or the pool has one
+  // worker.
   template <typename Fn>
   void parallel_for_ranges(std::size_t count, std::size_t shards, Fn&& fn) {
     using Decayed = std::remove_reference_t<Fn>;
@@ -106,20 +107,22 @@ class ThreadPool {
   void worker_loop(std::size_t worker_index);
   void parallel_for_ranges_impl(std::size_t count, std::size_t shards,
                                 RangeFn fn, void* ctx);
-  void run_range_job(RangeJob& job);
+  // Claims one range of a published job and runs it; false when no
+  // published range is left unclaimed. Called and returns with `lock`
+  // (on mutex_) held.
+  bool help_one_range(std::unique_lock<std::mutex>& lock);
 
   std::vector<std::thread> threads_;
   std::mutex mutex_;
-  std::condition_variable cv_;
+  std::condition_variable cv_;             // workers: work arrived
+  std::condition_variable range_done_cv_;  // callers: a job's last range done
   std::queue<std::function<void()>> tasks_;
+  // Published parallel_for_ranges jobs, newest first: an intrusive list
+  // through frames on their callers' stacks. Guarded by mutex_, as are
+  // idle_ (workers parked on cv_) and stopping_.
+  RangeJob* jobs_ = nullptr;
+  std::size_t idle_ = 0;
   bool stopping_ = false;
-  // Active parallel_for_ranges job (stack-allocated by the caller; nulled
-  // by the caller after completion). range_epoch_ increments per job so a
-  // worker that already drained this job's claims does not spin on it.
-  RangeJob* range_job_ = nullptr;
-  std::uint64_t range_epoch_ = 0;
-  std::mutex range_mutex_;  // one range job in flight per pool
-  std::condition_variable range_done_cv_;
 };
 
 // Process-wide pool for experiment runners (constructed on first use).
@@ -130,16 +133,18 @@ ThreadPool& global_pool();
 // is fixed-size — and aborts otherwise; 0 restores the hardware default.
 void set_global_pool_workers(std::size_t workers);
 
-// Ambient pool the sharded round kernels fan per-shard work onto. Defaults
-// to global_pool(); the trial scheduler points it at its own pool for the
-// duration of a wide (multi-worker) trial. Thread-local on purpose: two
-// schedulers running concurrently (the serve daemon) must not see each
-// other's override, and a kernel invoked FROM a pool worker flattens its
-// nested parallel_for_ranges inline, so the hook is always safe to consult.
+// Ambient pool the sharded round kernels fan per-shard work onto: on a
+// pool worker, and inside a parallel_for* callback that a pool runs
+// inline on its caller, the pool doing the work; on any other thread the
+// set_shard_pool override, else global_pool(). A trial therefore fans its
+// rounds out on the pool that runs it, wherever it lands. Thread-local on
+// purpose: schedulers draining different pools concurrently (the serve
+// daemon) never see each other's pool.
 [[nodiscard]] ThreadPool& shard_pool();
 
 // Installs `pool` as the calling thread's shard pool (nullptr restores the
-// global_pool() default) and returns the previous override.
+// default above) and returns the previous override. Points kernels called
+// directly from a foreign thread (tests, benchmarks) at a private pool.
 ThreadPool* set_shard_pool(ThreadPool* pool);
 
 }  // namespace rumor

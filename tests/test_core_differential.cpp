@@ -1,8 +1,10 @@
 // Differential tests: the optimized simulators vs. the naive reference
 // transcriptions of Section 3. The optimizations (saturation retirement,
-// frontier iteration, alias placement) are argued law-preserving in
-// DESIGN.md; these tests check that claim empirically by comparing
-// broadcast-time distributions on several graph shapes.
+// frontier iteration, alias placement) are law-preserving because each
+// only skips calls or draws that cannot change any vertex's state, or
+// draws the same distribution by another method; these tests check that
+// claim empirically by comparing broadcast-time distributions on several
+// graph shapes.
 #include <gtest/gtest.h>
 
 #include <vector>

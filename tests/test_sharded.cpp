@@ -6,17 +6,20 @@
 // decision draws from an addressable per-(phase, slot) Philox chain and
 // every merge visits candidates in global slot order. shards=1 is the
 // serial reference; 2/4/7-way runs must reproduce it byte for byte.
-// Also covered: the allocation-free parallel_for_ranges primitive, the
-// nested-fan-out flattening rule, zero steady-state allocations per
-// trial, the two-axis trial schedule, and the scenario-level rejection of
-// the incompatible option combinations.
+// Also covered: the allocation-free parallel_for_ranges primitive (nested
+// and concurrent range jobs, idle workers joining them), zero steady-state
+// allocations per trial, the trial schedule on pools of every width, and
+// the scenario-level rejection of the incompatible option combinations.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "alloc_probe.hpp"
@@ -88,7 +91,8 @@ TEST(ThreadPoolRanges, ClampsShardsAndHandlesEmpty) {
 
 TEST(ThreadPoolRanges, NestedFanOutFlattensInline) {
   // A worker of the pool issuing parallel_for_ranges against the SAME pool
-  // must not deadlock or re-enter the queue: the call runs inline.
+  // must not deadlock: it publishes its job like any caller and runs its
+  // own claims, so every sum still lands exactly once.
   ThreadPool pool(3);
   std::atomic<std::size_t> sum{0};
   pool.parallel_for(6, [&](std::size_t) {
@@ -101,6 +105,8 @@ TEST(ThreadPoolRanges, NestedFanOutFlattensInline) {
 }
 
 TEST(ThreadPoolRanges, NestedParallelForFlattensInline) {
+  // A nested parallel_for (a queued task issuing tasks) still runs inline
+  // on the worker: queue-and-block from inside the pool would deadlock.
   ThreadPool pool(3);
   std::atomic<std::size_t> count{0};
   pool.parallel_for(4, [&](std::size_t) {
@@ -119,6 +125,170 @@ TEST(ThreadPoolRanges, ReusableAndConcurrentWithTasks) {
         });
     ASSERT_EQ(sum.load(), 257u * 256u / 2);
   }
+}
+
+TEST(ThreadPoolRanges, IdleWorkersJoinAWorkersJob) {
+  // A range job issued from a pool worker is published like any other:
+  // the idle workers claim its ranges. Each range spins (bounded by one
+  // shared deadline) until a second thread has run a range, so the test
+  // fails rather than hangs when the job runs on its caller alone.
+  ThreadPool pool(4);
+  std::mutex runners_mutex;
+  std::set<std::thread::id> runners;
+  bool issued_on_worker = false;
+  pool.parallel_for_indexed(2, [&](std::size_t worker, std::size_t i) {
+    if (i != 0) return;
+    issued_on_worker = worker < pool.worker_count();
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    pool.parallel_for_ranges(
+        4, 4, [&](std::size_t, std::size_t, std::size_t) {
+          {
+            std::lock_guard lock(runners_mutex);
+            runners.insert(std::this_thread::get_id());
+          }
+          while (std::chrono::steady_clock::now() < deadline) {
+            std::lock_guard lock(runners_mutex);
+            if (runners.size() >= 2) break;
+          }
+        });
+  });
+  EXPECT_TRUE(issued_on_worker);
+  EXPECT_GE(runners.size(), 2u);
+}
+
+TEST(ThreadPoolRanges, ConcurrentCallersRunEveryIndexOnce) {
+  // Several foreign threads keep range jobs in flight on one pool at once,
+  // interleaved with parallel_for batches whose tasks fan out themselves.
+  ThreadPool pool(4);
+  constexpr std::size_t kCallers = 4;
+  constexpr std::size_t kJobs = 300;
+  std::atomic<std::size_t> bad{0};
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (std::size_t j = 0; j < kJobs; ++j) {
+        if (j % 10 == 0) {
+          std::atomic<std::size_t> sum{0};
+          pool.parallel_for(6, [&](std::size_t) {
+            pool.parallel_for_ranges(
+                50, 3, [&](std::size_t, std::size_t begin, std::size_t end) {
+                  for (std::size_t i = begin; i < end; ++i) sum.fetch_add(i);
+                });
+          });
+          if (sum.load() != 6u * (50u * 49u / 2)) bad.fetch_add(1);
+          continue;
+        }
+        const std::size_t count = 1 + (c * kJobs + j) % 97;
+        std::vector<std::atomic<int>> hits(count);
+        pool.parallel_for_ranges(
+            count, 1 + j % 7,
+            [&](std::size_t, std::size_t begin, std::size_t end) {
+              for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+            });
+        for (const auto& h : hits) {
+          if (h.load() != 1) bad.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(bad.load(), 0u);
+}
+
+TEST(ThreadPoolRanges, ShardPoolIsThePoolRunningTheWork) {
+  // A trial fans out on the pool that runs it: on that pool's workers,
+  // and on the caller when the pool runs the callback inline (one index,
+  // or one worker). Elsewhere the thread's override, else global_pool().
+  ThreadPool pool(3);
+  ThreadPool single(1);
+  ThreadPool other(2);
+  std::atomic<std::size_t> wrong{0};
+  auto expect_pool = [&](ThreadPool& want) {
+    return [&wrong, &want](std::size_t) {
+      if (&shard_pool() != &want) wrong.fetch_add(1);
+    };
+  };
+  EXPECT_EQ(&shard_pool(), &global_pool());
+  pool.parallel_for(12, expect_pool(pool));
+  pool.parallel_for(1, expect_pool(pool));
+  single.parallel_for(4, expect_pool(single));
+  ThreadPool* const previous = set_shard_pool(&other);
+  pool.parallel_for(1, expect_pool(pool));
+  EXPECT_EQ(&shard_pool(), &other);
+  set_shard_pool(previous);
+  EXPECT_EQ(&shard_pool(), &global_pool());
+  EXPECT_EQ(wrong.load(), 0u);
+}
+
+thread_local bool tl_inside_task = false;
+
+TEST(ThreadPoolRanges, WaitingCallerNeverRunsAQueuedTask) {
+  // A queued task is a whole trial; a caller waiting on its range job may
+  // help with other jobs' ranges but must never start a queued task
+  // nested inside its own (that would hand its thread's TrialArena to two
+  // live trials). Staged on two workers: a task's two ranges run on its
+  // caller and the other worker; meanwhile a foreign thread queues more
+  // tasks, and the helper's range holds until the caller has finished its
+  // own range and is waiting with those tasks in the queue. Every task
+  // checks its thread was not already inside one. Spins are bounded by
+  // one deadline, so a broken pool fails instead of hanging.
+  ThreadPool pool(2);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  auto await = [&](const std::atomic<bool>& flag) {
+    while (!flag.load() && std::chrono::steady_clock::now() < deadline) {
+    }
+  };
+  std::atomic<std::size_t> nested{0};
+  std::atomic<std::size_t> tasks{0};
+  auto enter_task = [&] {
+    if (tl_inside_task) nested.fetch_add(1);
+    tl_inside_task = true;
+  };
+  auto leave_task = [&] {
+    tl_inside_task = false;
+    tasks.fetch_add(1);
+  };
+  std::atomic<bool> both_started{false};
+  std::atomic<bool> queue_more{false};
+  std::atomic<bool> queued{false};
+  std::atomic<bool> caller_range_done{false};
+  std::thread foreign([&] {
+    await(queue_more);
+    queued = true;
+    pool.parallel_for(2, [&](std::size_t) {
+      enter_task();
+      leave_task();
+    });
+  });
+  pool.parallel_for(2, [&](std::size_t i) {
+    enter_task();
+    if (i == 0) {
+      const std::thread::id caller = std::this_thread::get_id();
+      std::atomic<int> started{0};
+      pool.parallel_for_ranges(
+          2, 2, [&](std::size_t, std::size_t, std::size_t) {
+            if (started.fetch_add(1) + 1 == 2) both_started = true;
+            await(both_started);
+            if (std::this_thread::get_id() == caller) {
+              queue_more = true;
+              await(queued);
+              std::this_thread::sleep_for(std::chrono::milliseconds(20));
+              caller_range_done = true;
+            } else {
+              await(caller_range_done);
+              std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            }
+          });
+    }
+    leave_task();
+  });
+  queue_more = true;  // release the foreign thread if staging went astray
+  foreign.join();
+  EXPECT_TRUE(both_started.load());
+  EXPECT_EQ(tasks.load(), 4u);
+  EXPECT_EQ(nested.load(), 0u);
 }
 
 // ---- SlotDraws addressability ------------------------------------------
@@ -719,7 +889,7 @@ TEST(ShardedAlloc, SteadyStateTrialsAllocateNothing) {
   }
 }
 
-// ---- Two-axis trial schedule -------------------------------------------
+// ---- Trial schedule across pool widths ----------------------------------
 
 TrialSet run_batch_on_pool(const Graph& g, const ProtocolSpec& spec,
                            std::size_t trials, ThreadPool* pool) {
@@ -739,10 +909,10 @@ TrialSet run_batch_on_pool(const Graph& g, const ProtocolSpec& spec,
 }
 
 TEST(TwoAxisSchedule, WideAndNarrowProduceIdenticalSamples) {
-  // 2 trials on a 4-worker pool: too few to fill it, so the sharded batch
-  // runs WIDE (caller thread + range fan-out). On a 1-worker pool the same
-  // batch drains narrow. Samples must be bit-identical either way, and
-  // identical to the plain run_trials path on the global pool.
+  // 2 trials on a 4-worker pool: the two idle workers join the trials'
+  // range fan-outs. On a 1-worker pool the same batch runs every range on
+  // the caller. Samples must be bit-identical either way, and identical to
+  // the plain run_trials path on the global pool.
   const Graph g = gen::circulant(192, 6);
   const auto spec = ProtocolSpec::parse("push(shards=2)");
   ASSERT_TRUE(spec);
@@ -758,9 +928,8 @@ TEST(TwoAxisSchedule, WideAndNarrowProduceIdenticalSamples) {
 }
 
 TEST(TwoAxisSchedule, ManyTrialsStillDrainNarrow) {
-  // With enough queued trials to fill the pool, sharded batches drain
-  // through the classic one-trial-one-worker path (nested fan-out
-  // flattens inline on each worker) — and still match the wide samples.
+  // 6 trials on 2 workers keep every worker busy with its own trial; on 8
+  // workers the spare ones join the fan-outs. The samples must match.
   const Graph g = gen::cycle(128);
   const auto spec = ProtocolSpec::parse("push-pull(shards=3)");
   ASSERT_TRUE(spec);

@@ -434,17 +434,29 @@ TEST(GraphPropertiesCache, SharedAcrossCopies) {
 }
 
 TEST(TrialArena, RunTrialsSteadyStateAllocationsIndependentOfTrialCount) {
-  if (global_pool().worker_count() != 1) {
-    GTEST_SKIP() << "deterministic only with a single pool worker";
-  }
+  // A private one-worker pool drains the batch inline on this thread, so
+  // every trial reuses one arena and the count is the same on any host.
+  ThreadPool pool(1);
   const Graph g = gen::circulant(256, 8);
   const ProtocolSpec spec = default_spec(Protocol::visit_exchange);
-  (void)run_trials(g, spec, 0, 64, 7);  // warm worker arena + buffers
+  auto run = [&](std::size_t trials) {
+    TrialSet set;
+    TrialBatch batch;
+    batch.graph = &g;
+    batch.protocol = &spec;
+    batch.trials = trials;
+    batch.master_seed = 7;
+    batch.out = &set;
+    TrialRunOptions options;
+    options.pool = &pool;
+    (void)run_trial_batches({batch}, options);
+  };
+  run(64);  // warm the arena + buffers
 
   auto count_for = [&](std::size_t trials) {
     test_alloc::g_allocations.store(0);
     test_alloc::g_count.store(true);
-    (void)run_trials(g, spec, 0, trials, 7);
+    run(trials);
     test_alloc::g_count.store(false);
     return test_alloc::g_allocations.load();
   };
