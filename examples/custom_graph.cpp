@@ -4,13 +4,16 @@
 //   custom_graph <edge-list-file> [source] [trials]
 //   custom_graph --demo            (writes a demo graph and analyzes it)
 //
-// Edge-list format: "n m" header line, then m lines "u v" (see graph/io.hpp).
-// Prints structural properties, a protocol comparison, and a DOT rendering
-// path for small graphs.
+// The file is a SNAP-style edge list — one "u v" pair per line, '#'
+// comments — loaded through the same `file:<path>` graph spec scenario
+// files use (graph/file_graph.hpp: ids compact to [0, n) in ascending
+// order, and a .rcsr cache is written beside the file). Prints structural
+// properties and a protocol comparison.
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -18,8 +21,8 @@
 #include "core/push.hpp"
 #include "core/push_pull.hpp"
 #include "core/visit_exchange.hpp"
+#include "experiments/specs.hpp"
 #include "graph/generators.hpp"
-#include "graph/io.hpp"
 #include "graph/properties.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
@@ -74,15 +77,30 @@ int analyze(const Graph& g, Vertex source, int trials) {
     return run_meet_exchange(g2, s, seed);
   });
   std::printf("%s\n", table.render_plain().c_str());
-
-  if (g.num_vertices() <= 64) {
-    const char* dot_path = "custom_graph.dot";
-    std::ofstream dot(dot_path);
-    export_dot(g, dot);
-    std::printf("wrote %s (render with: dot -Tpng %s -o graph.png)\n",
-                dot_path, dot_path);
-  }
   return 0;
+}
+
+// Writes g as a SNAP edge list, each undirected edge once.
+void write_edge_list(const Graph& g, const std::string& path) {
+  std::ofstream out(path);
+  out << "# " << g.num_vertices() << " vertices, " << g.num_edges()
+      << " edges\n";
+  for (Vertex u = 0; u < g.num_vertices(); ++u) {
+    for (std::uint32_t i = 0; i < g.degree(u); ++i) {
+      const Vertex v = g.neighbor(u, i);
+      if (u < v) out << u << ' ' << v << '\n';
+    }
+  }
+  if (!out) throw std::runtime_error("cannot write " + path);
+}
+
+// Loads an edge list through the scenario grammar's `file:` family.
+Graph load_edge_list(const std::string& path) {
+  std::string error;
+  const auto spec = GraphSpec::parse("file:" + path, &error);
+  if (!spec) throw std::runtime_error(error);
+  Rng unused(0);  // file graphs draw nothing
+  return spec->make(unused);
 }
 
 }  // namespace
@@ -100,11 +118,11 @@ int main(int argc, char** argv) {
   try {
     if (std::string(argv[1]) == "--demo") {
       const char* path = "demo_barbell.edges";
-      save_edge_list_file(gen::barbell(12), path);
+      write_edge_list(gen::barbell(12), path);
       std::printf("wrote demo graph to %s\n\n", path);
-      return analyze(load_edge_list_file(path), 0, 20);
+      return analyze(load_edge_list(path), 0, 20);
     }
-    const Graph g = load_edge_list_file(argv[1]);
+    const Graph g = load_edge_list(argv[1]);
     const Vertex source =
         argc > 2 ? static_cast<Vertex>(std::strtoul(argv[2], nullptr, 10))
                  : 0;

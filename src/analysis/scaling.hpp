@@ -2,8 +2,10 @@
 //
 // A ScalingSeries is the measured broadcast time of one protocol across a
 // geometric range of sizes. The helpers here turn series into the verdicts
-// EXPERIMENTS.md reports: fitted growth laws, constant-ratio bands
-// (Theorem 1), and additive-logarithmic gaps (Theorem 23).
+// the paper scenario files state as `# expect:` directives
+// (experiments/expect.hpp, docs/scenarios.md): fitted growth laws,
+// constant-ratio bands (Theorem 1), and additive-logarithmic gaps
+// (Theorem 23).
 #pragma once
 
 #include <string>

@@ -40,13 +40,23 @@
 //   --budget=N      per-client pending-trial budget before SUBMIT → BUSY
 //   --jobs=N        compute worker threads
 //
+// A file may also carry `# expect:` directives — claims about its rows,
+// such as `# expect: exponent(push) > 0.8` (forms in
+// experiments/expect.hpp and docs/scenarios.md). They are parsed and
+// validated with the file; after a complete one-shot run each prints one
+// "[ OK ]"/"[FAIL]" line with its measured value on stderr. Stdout and
+// --csv are the same with or without them, and serve mode treats them as
+// the comments they are.
+//
 // Exit codes (full table in docs/serve.md): 0 success, 1 a trial failed
 // mid-run or the run was interrupted by SIGINT/SIGTERM (the failing
-// scenario is named on stderr, and a streamed --csv gains a trailing
-// "# truncated" comment) — for the client subcommands, a job that ended
-// cancelled/failed or a refused/lost connection; 2 usage/parse/validation
-// errors. SIGINT/SIGTERM stop a one-shot run gracefully: no new trial
-// starts, in-flight trials finish, streamed rows stay valid.
+// scenario is named on stderr, a streamed --csv gains a trailing
+// "# truncated" comment, and no directive is evaluated) — for the client
+// subcommands, a job that ended cancelled/failed or a refused/lost
+// connection; 2 usage/parse/validation errors, malformed directives
+// included; 3 the run completed but an `# expect:` directive failed.
+// SIGINT/SIGTERM stop a one-shot run gracefully: no new trial starts,
+// in-flight trials finish, streamed rows stay valid.
 //
 // The whole file drains through ONE global (scenario, trial) work queue:
 // trials from different scenarios interleave across the pool, report rows
@@ -65,6 +75,7 @@
 
 #include "core/registry.hpp"
 #include "core/sharding.hpp"
+#include "experiments/expect.hpp"
 #include "experiments/report.hpp"
 #include "experiments/scenario.hpp"
 #include "serve/client.hpp"
@@ -455,13 +466,24 @@ int main(int argc, char** argv) {
   if (cli->input.empty()) return usage(argv[0]);
   if (cli->jobs) set_global_pool_workers(*cli->jobs);
 
+  // The text is read once: the scenario lines and the `# expect:`
+  // directives both come from it.
   std::string error;
-  std::optional<std::vector<ScenarioSpec>> specs;
+  std::ostringstream buf;
   if (cli->input == "-") {
-    specs = parse_scenario_stream(std::cin, &error);
+    buf << std::cin.rdbuf();
   } else {
-    specs = load_scenario_file(cli->input, &error);
+    std::ifstream file(cli->input);
+    if (!file) {
+      std::fprintf(stderr, "%s: cannot open \"%s\"\n", cli->input.c_str(),
+                   cli->input.c_str());
+      return 2;
+    }
+    buf << file.rdbuf();
   }
+  const std::string text = buf.str();
+  std::istringstream scenario_text(text);
+  auto specs = parse_scenario_stream(scenario_text, &error);
   if (!specs) {
     std::fprintf(stderr, "%s: %s\n", cli->input.c_str(), error.c_str());
     return 2;
@@ -473,6 +495,12 @@ int main(int argc, char** argv) {
   for (ScenarioSpec& spec : *specs) {
     if (cli->trials) spec.plan.trials = *cli->trials;
     if (cli->seed) spec.plan.seed = *cli->seed;
+  }
+  const auto expectations = parse_expectations(text, &error);
+  if (!expectations ||
+      !validate_expectations(*expectations, *specs, &error)) {
+    std::fprintf(stderr, "%s: %s\n", cli->input.c_str(), error.c_str());
+    return 2;
   }
 
   if (cli->dry_run) {
@@ -585,5 +613,11 @@ int main(int argc, char** argv) {
     // into a file or another tool must never pick up bookkeeping.
     std::fprintf(stderr, "csv: %s\n", cli->csv_path.c_str());
   }
-  return 0;
+  bool claims_hold = true;
+  for (const ExpectVerdict& verdict :
+       check_expectations(*expectations, *results)) {
+    std::fprintf(stderr, "%s\n", verdict_line(verdict).c_str());
+    claims_hold &= verdict.ok;
+  }
+  return claims_hold ? 0 : 3;
 }

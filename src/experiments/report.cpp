@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <ostream>
 
 #include "support/table.hpp"
@@ -15,36 +13,6 @@ std::string fmt_mean_pm(const Summary& s, int precision) {
   std::snprintf(buf, sizeof buf, "%.*f ±%.*f", precision, s.mean, precision,
                 s.stderr_mean);
   return buf;
-}
-
-bool print_claim(bool ok, std::string_view claim, std::string_view measured) {
-  std::printf("[%s] %.*s — %.*s\n", ok ? " OK " : "WARN",
-              static_cast<int>(claim.size()), claim.data(),
-              static_cast<int>(measured.size()), measured.data());
-  return ok;
-}
-
-void maybe_dump_csv(const std::string& name,
-                    const std::vector<ScalingSeries>& series) {
-  const char* dir = std::getenv("RUMOR_RESULTS_DIR");
-  if (dir == nullptr || series.empty()) return;
-  const std::string path = std::string(dir) + "/" + name + ".csv";
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-    return;
-  }
-  CsvWriter csv(out, {"series", "n", "trials", "mean", "stddev", "min",
-                      "median", "max"});
-  for (const auto& s : series) {
-    for (const auto& p : s.points) {
-      csv.row({s.label, std::to_string(p.n),
-               std::to_string(p.summary.count), std::to_string(p.summary.mean),
-               std::to_string(p.summary.stddev), std::to_string(p.summary.min),
-               std::to_string(p.summary.median),
-               std::to_string(p.summary.max)});
-    }
-  }
 }
 
 // ---- Scenario report ---------------------------------------------------

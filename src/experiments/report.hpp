@@ -1,14 +1,12 @@
-// Output helpers shared by the bench binaries and the scenario runner:
-// claim verdict lines, mean±stderr cells, optional CSV artifact dumps,
-// and the streaming scenario report (rows emitted as scenarios complete,
-// in file order — see run_scenarios' on_result hook).
+// The scenario report: mean±stderr cells, the aligned terminal table and
+// the CSV artifact, both streamed as scenarios complete (in file order —
+// see run_scenarios' on_result hook), plus the single-line CSV forms the
+// serve daemon sends over the wire.
 #pragma once
 
 #include <iosfwd>
 #include <string>
-#include <string_view>
 
-#include "analysis/scaling.hpp"
 #include "experiments/scenario.hpp"
 #include "support/csv.hpp"
 #include "support/stats.hpp"
@@ -17,16 +15,6 @@ namespace rumor {
 
 // "123.4 ±5.6"
 [[nodiscard]] std::string fmt_mean_pm(const Summary& s, int precision = 1);
-
-// Prints "[ OK ] claim — measured" or "[WARN] ..." to stdout; returns ok so
-// callers can aggregate an exit summary.
-bool print_claim(bool ok, std::string_view claim, std::string_view measured);
-
-// Writes a ScalingSeries set as CSV into $RUMOR_RESULTS_DIR/<name>.csv if
-// that environment variable is set; otherwise does nothing. Never throws:
-// reports failures to stderr (bench output must not die on I/O).
-void maybe_dump_csv(const std::string& name,
-                    const std::vector<ScalingSeries>& series);
 
 // Streams the terminal scenario report: the header is printed at
 // construction, one aligned row per completed scenario. Spec-derived

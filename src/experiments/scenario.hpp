@@ -34,8 +34,7 @@
 
 namespace rumor {
 
-// The master seed every runner defaults to (the PODC'19 date, matching the
-// bench harness).
+// The master seed every runner defaults to (the PODC'19 date).
 constexpr std::uint64_t kDefaultMasterSeed = 20190729ULL;
 
 struct TrialPlan {
@@ -198,8 +197,8 @@ struct ScenarioRunOptions {
     const ScenarioRunOptions& options = {});
 
 // The shared report format: an aligned table for terminals, CSV (one row
-// per scenario, same columns as the bench artifact dumps plus the spec
-// text) for artifacts.
+// per scenario, the full distribution columns plus the spec text) for
+// artifacts.
 [[nodiscard]] std::string scenario_table(
     const std::vector<ScenarioResult>& results);
 void write_scenario_csv(std::ostream& out,

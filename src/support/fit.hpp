@@ -49,8 +49,8 @@ struct LawVerdict {
   std::string describe() const;
 };
 
-// Classifies measured growth. Heuristic, intended for the claim-check lines
-// in bench output: a power fit with exponent < 0.15 and a good log-law fit
+// Classifies measured growth. Heuristic, intended for claim reports (the
+// `exponent(...)` directive reads power_exponent): a power fit with exponent < 0.15 and a good log-law fit
 // is reported as logarithmic; exponent within 0.15 of 1 with a good
 // n·log n fit is reported as linearithmic when that fit dominates.
 [[nodiscard]] LawVerdict classify_growth(std::span<const double> n,

@@ -1,7 +1,7 @@
-// Aligned text tables for bench/example output.
+// Aligned text tables for the scenario report and the examples.
 //
 // Collects rows of string cells and renders either a column-aligned plain
-// table or GitHub-flavored markdown (used verbatim in EXPERIMENTS.md).
+// table or GitHub-flavored markdown (for pasting into docs/*.md).
 #pragma once
 
 #include <cstddef>

@@ -157,6 +157,72 @@ TEST(MultiRumorVisitExchange, AgentsCarryRumorsAcrossReleases) {
   }
 }
 
+// E19 (examples/scenarios/paper/multi_rumor.scn) on a random 16-regular
+// graph, with the experiment's formulas at n = 1024 instead of 4096.
+// (i) Non-interference: the mean per-rumor latency of 64 parallel rumors,
+// from seed-drawn sources all released at round 0, stays within
+// 1.25x + 1 round of a single rumor's.
+TEST(MultiRumorClaims, ParallelRumorsKeepSingleRumorLatency) {
+  constexpr Vertex kN = 1024;
+  constexpr std::uint64_t kSeed = 20190729ULL;
+  Rng grng(kSeed);
+  const Graph g = gen::random_regular(kN, 16, grng);
+  for (const bool walks : {false, true}) {
+    const auto mean_latency = [&](std::size_t rumor_count) {
+      std::vector<double> latencies;
+      for (std::size_t trial = 0; trial < 10; ++trial) {
+        Rng source_rng(derive_seed(kSeed + 5, trial));
+        std::vector<RumorSpec> rumors;
+        for (std::size_t r = 0; r < rumor_count; ++r) {
+          rumors.push_back({static_cast<Vertex>(source_rng.below(kN)), 0});
+        }
+        const std::uint64_t seed = derive_seed(kSeed, trial);
+        const MultiRumorResult result =
+            walks ? MultiRumorVisitExchange(g, rumors, seed).run()
+                  : MultiRumorPushPull(g, rumors, seed).run();
+        EXPECT_TRUE(result.completed);
+        for (const Round lat : result.latency) {
+          latencies.push_back(static_cast<double>(lat));
+        }
+      }
+      return Summary::of(latencies).mean;
+    };
+    const double at1 = mean_latency(1);
+    const double at64 = mean_latency(64);
+    EXPECT_LT(at64, 1.25 * at1 + 1.0)
+        << (walks ? "visit-exchange" : "push-pull") << ": R=1 " << at1;
+  }
+}
+
+// (ii) Steady state: 32 rumors released every 4 rounds through one walker
+// population; the early half's mean latency matches the late half's within
+// 20% + 1 round — the perpetual walks stay stationary.
+TEST(MultiRumorClaims, StreamLatencyFlatInReleaseTime) {
+  constexpr Vertex kN = 1024;
+  constexpr std::uint64_t kSeed = 20190729ULL;
+  Rng grng(kSeed);
+  const Graph g = gen::random_regular(kN, 16, grng);
+  std::vector<double> early, late;
+  for (std::size_t trial = 0; trial < 10; ++trial) {
+    Rng source_rng(derive_seed(kSeed + 9, trial));
+    std::vector<RumorSpec> rumors;
+    for (std::size_t r = 0; r < 32; ++r) {
+      rumors.push_back({static_cast<Vertex>(source_rng.below(kN)),
+                        static_cast<Round>(4 * r)});
+    }
+    const MultiRumorResult result =
+        MultiRumorVisitExchange(g, rumors, derive_seed(kSeed, trial)).run();
+    ASSERT_TRUE(result.completed);
+    for (std::size_t r = 0; r < 32; ++r) {
+      (r < 16 ? early : late).push_back(static_cast<double>(result.latency[r]));
+    }
+  }
+  const double early_mean = Summary::of(early).mean;
+  const double late_mean = Summary::of(late).mean;
+  EXPECT_LT(std::abs(early_mean - late_mean), 0.2 * early_mean + 1.0)
+      << "early " << early_mean << " vs late " << late_mean;
+}
+
 using MultiRumorDeathTest = ::testing::Test;
 
 TEST(MultiRumorDeathTest, RejectsTooManyRumors) {

@@ -178,10 +178,5 @@ TEST(Report, FormatsMeanPm) {
   EXPECT_NE(text.find("±"), std::string::npos);
 }
 
-TEST(Report, PrintClaimReturnsVerdict) {
-  EXPECT_TRUE(print_claim(true, "claim", "measured"));
-  EXPECT_FALSE(print_claim(false, "claim", "measured"));
-}
-
 }  // namespace
 }  // namespace rumor

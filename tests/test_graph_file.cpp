@@ -3,6 +3,7 @@
 // with line numbers, cache round-trip identity, and stale-cache
 // invalidation when the source changes underneath a cache file.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
@@ -34,8 +35,10 @@ std::optional<std::vector<ScenarioSpec>> parse_scenarios(
 class GraphFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // The pid keeps concurrent ctest runs on one host apart: random_seed()
+    // is 0 unless the tests are shuffled.
     dir_ = fs::temp_directory_path() /
-           ("rumor_graph_file_" +
+           ("rumor_graph_file_" + std::to_string(::getpid()) + "_" +
             std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
             "_" + ::testing::UnitTest::GetInstance()
                       ->current_test_info()

@@ -3,6 +3,7 @@
 // resume contract rests on one property — replay keeps exactly the valid
 // record prefix — so these tests attack every byte position.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -18,8 +19,10 @@ namespace fs = std::filesystem;
 class ServeJournalTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // The pid keeps concurrent ctest runs on one host apart: random_seed()
+    // is 0 unless the tests are shuffled.
     dir_ = fs::temp_directory_path() /
-           ("rumor_serve_journal_" +
+           ("rumor_serve_journal_" + std::to_string(::getpid()) + "_" +
             std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
             "_" + ::testing::UnitTest::GetInstance()
                       ->current_test_info()

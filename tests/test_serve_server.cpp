@@ -6,6 +6,7 @@
 // and the collected CSV rows equal a one-shot run byte for byte, even
 // after hand-tearing the journal tail.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
@@ -108,8 +109,10 @@ std::vector<std::string> one_shot_rows(const std::string& text) {
 class ServeServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // The pid keeps concurrent ctest runs on one host apart: random_seed()
+    // is 0 unless the tests are shuffled.
     dir_ = fs::temp_directory_path() /
-           ("rumor_serve_" +
+           ("rumor_serve_" + std::to_string(::getpid()) + "_" +
             std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
             "_" + ::testing::UnitTest::GetInstance()
                       ->current_test_info()
