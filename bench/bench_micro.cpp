@@ -582,11 +582,12 @@ BENCHMARK(BM_ShardedHybridK)->UseRealTime();
 // BM_ShardedCsrBuild: the owned-CSR construction path at explicit width 1
 // vs. 4 on the same fixed pool. The input is a 10^7-edge degree-4
 // circulant emitted in a strided permutation (stride coprime to m), so
-// the parallel chunk-sort + merge does real reordering work instead of
-// detecting sorted input. Content is byte-identical across widths (the
-// tier-1 ShardedCsrBuild tests pin that), so the K/1 ratio is pure
-// build-parallelism: sort, reverse-index, degree count, and the
-// first-touch row fill.
+// the scatter lands every row's entries out of order and the per-row
+// sort has real work. Content is byte-identical across widths (the
+// tier-1 ShardedCsrBuild and GraphBuildGolden tests pin that), so the K/1
+// ratio is pure build parallelism: degree count, scatter (atomic cursors
+// at width 4), per-row sort and forward count, and the edge-id fill; the
+// two prefix sums stay serial.
 
 constexpr Vertex kCsrBuildVertices = 5'000'000;
 

@@ -127,13 +127,13 @@ def load_rates(path):
 #                           — the parallel owned-CSR build contract: the
 #                             same 10^7-edge strided-permutation list
 #                             built at width 4 vs width 1, byte-identical
-#                             output (tier-1 pinned). Unlike the round
-#                             pairs the width-K build does real extra
-#                             work at 1 core (log(width) pairwise merge
-#                             passes over the chunk-sorted runs), so the
-#                             1-core ratio reads ~0.7, not ~1.0; the gate
-#                             pins that this serial-merge tax doesn't
-#                             silently grow. Same widened threshold.
+#                             output (tier-1 pinned). Both widths run
+#                             the same counting passes; width K adds
+#                             only atomic cursor bumps (the baseline,
+#                             recorded at one core on the merge-sort
+#                             build it replaced, reads ~0.7); the gate
+#                             pins that the parallel passes don't grow
+#                             a serial tax. Same widened threshold.
 RATIO_SERIES = (
     ("Batched", "Scalar", 0.15),
     ("Registry", "Direct", 0.15),

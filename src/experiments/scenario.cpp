@@ -169,10 +169,13 @@ bool scan_token(std::vector<LinePiece>& pieces, std::vector<SweepSlot>& slots,
 
 // "/2k" for 2048, "/0.5" for list items that aren't plain integers.
 std::string label_suffix(const std::string& value) {
+  std::string out = "/";
   if (const auto v = spec_text::parse_u64(value)) {
-    return "/" + spec_text::fmt_magnitude(*v);
+    out += spec_text::fmt_magnitude(*v);
+  } else {
+    out += value;
   }
-  return "/" + value;
+  return out;
 }
 
 }  // namespace

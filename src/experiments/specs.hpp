@@ -73,7 +73,7 @@ struct GraphSpec {
   std::uint64_t a = 0;
   std::uint64_t b = 0;
   double p = 0.0;
-  std::string path;  // Family::file only
+  std::string path{};  // Family::file only
   GraphBackendChoice backend = GraphBackendChoice::automatic;
 
   // Builds the graph; rng is consumed only by random families. File graphs

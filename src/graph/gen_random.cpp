@@ -1,7 +1,6 @@
 // Random graph generators.
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/builder.hpp"
@@ -12,11 +11,40 @@ namespace rumor::gen {
 
 namespace {
 
-[[nodiscard]] std::uint64_t edge_key(Vertex u, Vertex v) {
-  const auto lo = static_cast<std::uint64_t>(std::min(u, v));
-  const auto hi = static_cast<std::uint64_t>(std::max(u, v));
-  return (hi << 32) | lo;
-}
+// Partner rows of a d-regular multigraph: row v holds v's d partners, one
+// slot per stub, so an edge {a, b} sits once in row a and once in row b (a
+// self loop twice in its own row). The multiplicity of {a, b}, a != b, is
+// the count of b in row a — d contiguous words, one cache line for the
+// degrees the experiments use — so repair needs no hash map.
+class PartnerRows {
+ public:
+  PartnerRows(Vertex n, std::uint32_t d,
+              const std::vector<std::pair<Vertex, Vertex>>& edges)
+      : d_(d), slots_(static_cast<std::size_t>(n) * d) {
+    std::vector<std::uint32_t> fill(n, 0);
+    for (const auto& [u, v] : edges) {
+      slots_[static_cast<std::size_t>(u) * d_ + fill[u]++] = v;
+      slots_[static_cast<std::size_t>(v) * d_ + fill[v]++] = u;
+    }
+  }
+
+  [[nodiscard]] std::uint32_t count(Vertex a, Vertex b) const {
+    const Vertex* row = slots_.data() + static_cast<std::size_t>(a) * d_;
+    return static_cast<std::uint32_t>(std::count(row, row + d_, b));
+  }
+
+  // Row a loses one partner `from` and gains `to`.
+  void replace(Vertex a, Vertex from, Vertex to) {
+    Vertex* row = slots_.data() + static_cast<std::size_t>(a) * d_;
+    Vertex* slot = std::find(row, row + d_, from);
+    RUMOR_CHECK(slot != row + d_);
+    *slot = to;
+  }
+
+ private:
+  std::uint32_t d_;
+  std::vector<Vertex> slots_;
+};
 
 // One configuration-model draw followed by edge-swap repair. Returns edges
 // of a simple graph, or an empty vector if repair stalled (caller restarts).
@@ -35,16 +63,15 @@ std::vector<std::pair<Vertex, Vertex>> pairing_with_repair(Vertex n,
 
   const std::size_t m = stubs.size() / 2;
   std::vector<std::pair<Vertex, Vertex>> edges(m);
-  std::unordered_map<std::uint64_t, std::uint32_t> multiplicity;
-  multiplicity.reserve(m * 2);
   for (std::size_t e = 0; e < m; ++e) {
     edges[e] = {stubs[2 * e], stubs[2 * e + 1]};
-    ++multiplicity[edge_key(edges[e].first, edges[e].second)];
   }
+  stubs = {};
+  PartnerRows rows(n, d, edges);
 
   auto is_bad = [&](std::size_t e) {
     const auto [u, v] = edges[e];
-    return u == v || multiplicity[edge_key(u, v)] > 1;
+    return u == v || rows.count(u, v) > 1;
   };
 
   std::vector<std::size_t> bad;
@@ -74,34 +101,21 @@ std::vector<std::pair<Vertex, Vertex>> pairing_with_repair(Vertex n,
     if (rng.coin()) std::swap(x, y);  // both swap orientations reachable
 
     if (u == x || v == y) continue;  // would create self loops
-    const std::uint64_t new1 = edge_key(u, x);
-    const std::uint64_t new2 = edge_key(v, y);
-    // Count the would-be multiplicities after removal of the two old edges.
-    auto mult_after_removal = [&](std::uint64_t key) {
-      std::uint32_t c = 0;
-      if (auto it = multiplicity.find(key); it != multiplicity.end()) {
-        c = it->second;
-      }
-      if (key == edge_key(edges[e].first, edges[e].second)) --c;
-      if (key == edge_key(edges[partner].first, edges[partner].second)) --c;
-      return c;
-    };
-    if (mult_after_removal(new1) > 0) continue;
-    if (new2 != new1 && mult_after_removal(new2) > 0) continue;
-    if (new1 == new2) continue;  // the two replacements would duplicate
+    // The two replacements must be distinct and absent once the two old
+    // edges are gone: a count in row u (row v) includes {u,v} itself iff
+    // x == v (y == u), and the partner {x,y} iff y == u (x == v).
+    if (u == v && x == y) continue;  // {u,x} == {v,y}
+    if (u == y && x == v) continue;
+    if (rows.count(u, x) - (x == v) - (y == u) > 0) continue;
+    if (rows.count(v, y) - (y == u) - (x == v) > 0) continue;
 
-    // Apply the swap.
-    auto decrement = [&](Vertex a, Vertex b) {
-      auto it = multiplicity.find(edge_key(a, b));
-      RUMOR_CHECK(it != multiplicity.end() && it->second > 0);
-      --it->second;
-    };
-    decrement(edges[e].first, edges[e].second);
-    decrement(edges[partner].first, edges[partner].second);
+    // Apply the swap: each of the four rows trades one partner.
+    rows.replace(u, v, x);
+    rows.replace(v, u, y);
+    rows.replace(x, y, u);
+    rows.replace(y, x, v);
     edges[e] = {u, x};
     edges[partner] = {v, y};
-    ++multiplicity[new1];
-    ++multiplicity[new2];
     if (!is_bad(e)) bad.pop_back();
     if (is_bad(partner)) bad.push_back(partner);
   }

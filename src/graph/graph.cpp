@@ -17,65 +17,40 @@ struct Graph::PropertyState {
 
 namespace {
 
-// Backing store for the owned backend; shared by copies via payload_.
+// Backing store of the owned backend, shared by copies via payload_. Raw
+// arrays instead of vectors: vector::resize zero-fills every page on the
+// allocating thread, which would defeat NUMA first-touch placement —
+// make_unique_for_overwrite leaves the pages untouched until the per-row
+// passes write them.
 struct OwnedCsr {
-  std::vector<std::uint32_t> offsets;                 // n+1 entries
-  std::vector<Vertex> neighbors;                      // 2m, sorted per vertex
-  std::vector<EdgeId> edge_ids;                       // 2m
-  std::vector<std::pair<Vertex, Vertex>> edge_list;   // m entries, u < v
-};
-
-// Backing store for the sharded build path. Raw arrays instead of vectors:
-// vector::resize zero-fills every page on the allocating thread, which
-// would defeat NUMA first-touch placement — make_unique_for_overwrite
-// leaves the CSR pages untouched until the per-shard passes write them.
-struct ShardedCsr {
   std::unique_ptr<std::uint32_t[]> offsets;                // n+1 entries
   std::unique_ptr<Vertex[]> neighbors;                     // 2m, sorted
   std::unique_ptr<EdgeId[]> edge_ids;                      // 2m
   std::unique_ptr<std::pair<Vertex, Vertex>[]> edge_list;  // m, u < v
 };
 
-// Edge lists at or above this size build through the sharded path when the
-// public constructor picks the width (explicit build_owned widths are never
-// overridden). Matches the spirit of kShardAutoThreshold: only graphs big
-// enough that page placement and sort time matter pay the fan-out.
+// Edge lists at or above this size build at the ambient pool's width when
+// the public constructor picks the width (explicit build_owned widths are
+// never overridden). Matches the spirit of kShardAutoThreshold: only graphs
+// big enough that page placement and build time matter pay the fan-out.
 constexpr std::size_t kShardedBuildEdgeThreshold = std::size_t{1} << 22;
 
-// Deterministic parallel sort: per-shard std::sort over the shard_range
-// chunks, then log2(width) levels of pairwise in-place merges. The result
-// is THE sorted order (comparison keys are unique in both uses), so the
-// output is independent of width and worker count by construction.
-template <class T>
-void sharded_sort(ThreadPool& pool, T* data, std::size_t count,
-                  std::uint32_t width) {
-  std::vector<std::size_t> cur(width + 1);
-  for (std::uint32_t s = 0; s < width; ++s) {
-    cur[s] = ThreadPool::shard_range(count, width, s).first;
+// Runs fn(shard, begin, end) over the shard_range partition of [0, count)
+// into `width` ranges. Width 1 runs inline and never touches the pool.
+template <class Fn>
+void for_ranges(std::size_t count, std::uint32_t width, Fn&& fn) {
+  if (width <= 1) {
+    if (count > 0) fn(std::size_t{0}, std::size_t{0}, count);
+    return;
   }
-  cur[width] = count;
-  pool.parallel_for_ranges(
-      width, width, [&](std::size_t, std::size_t begin, std::size_t end) {
-        for (std::size_t j = begin; j < end; ++j) {
-          std::sort(data + cur[j], data + cur[j + 1]);
-        }
-      });
-  while (cur.size() > 2) {
-    const std::size_t runs = cur.size() - 1;
-    const std::size_t pairs = runs / 2;
-    pool.parallel_for_ranges(
-        pairs, pairs, [&](std::size_t, std::size_t begin, std::size_t end) {
-          for (std::size_t q = begin; q < end; ++q) {
-            std::inplace_merge(data + cur[2 * q], data + cur[2 * q + 1],
-                               data + cur[2 * q + 2]);
-          }
-        });
-    std::vector<std::size_t> next;
-    next.reserve(pairs + 2);
-    for (std::size_t q = 0; q <= pairs; ++q) next.push_back(cur[2 * q]);
-    if (runs % 2 != 0) next.push_back(count);
-    cur = std::move(next);
-  }
+  shard_pool().parallel_for_ranges(count, width, fn);
+}
+
+// Post-increments a counter that other shards may bump concurrently; the
+// per-row sort makes every result independent of the order of the bumps.
+std::uint32_t bump(std::uint32_t& counter, std::uint32_t width) {
+  if (width <= 1) return counter++;
+  return std::atomic_ref(counter).fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -115,9 +90,19 @@ Graph Graph::build_owned(Vertex num_vertices,
   return g;
 }
 
+// One counting build at every width: count degrees, scatter both endpoints
+// of every edge into their rows, sort each row, then number the edges. The
+// width only decides who runs each pass. Passes over the input split it
+// into chunks and bump shared counters atomically; per-row passes use the
+// shard_range partition of the vertices the sharded round kernels use, so
+// shard s first-touches exactly the offset, neighbor, edge-id and
+// edge-list ranges it will later step — on a NUMA machine the pages land
+// on the worker's node instead of all on the allocating thread's. Sorted
+// rows and rank-ordered edge ids are unique, so the arrays are
+// byte-identical at every width.
 void Graph::init_owned(Vertex num_vertices,
                        std::span<const std::pair<Vertex, Vertex>> edges,
-                       std::uint32_t build_width) {
+                       std::uint32_t width) {
   n_ = num_vertices;
   m_ = edges.size();
   property_state_ = std::make_shared<PropertyState>();
@@ -126,218 +111,112 @@ void Graph::init_owned(Vertex num_vertices,
   // source vertex and therefore reject it.
   RUMOR_REQUIRE(num_vertices > 0 || edges.empty());
   RUMOR_REQUIRE(edges.size() < std::numeric_limits<EdgeId>::max() / 2);
-  if (build_width > 1 && !edges.empty()) {
-    build_owned_sharded(edges, build_width);
-  } else {
-    build_owned_serial(edges);
-  }
-}
-
-void Graph::build_owned_serial(std::span<const std::pair<Vertex, Vertex>> edges) {
-  auto owned = std::make_shared<OwnedCsr>();
-  owned->edge_list.reserve(m_);
-  owned->offsets.assign(static_cast<std::size_t>(n_) + 1, 0);
-  auto& offsets = owned->offsets;
-  auto& edge_list = owned->edge_list;
-
-  for (const auto& [u, v] : edges) {
-    RUMOR_REQUIRE(u < n_ && v < n_);
-    RUMOR_REQUIRE(u != v);  // no self loops
-    edge_list.emplace_back(std::min(u, v), std::max(u, v));
-    ++offsets[u + 1];
-    ++offsets[v + 1];
-  }
-
-  // Canonical edge order: sort endpoint pairs; also detects duplicates.
-  std::sort(edge_list.begin(), edge_list.end());
-  for (std::size_t e = 1; e < edge_list.size(); ++e) {
-    RUMOR_REQUIRE(edge_list[e] != edge_list[e - 1]);  // no multi-edges
-  }
-
-  for (std::size_t v = 0; v < n_; ++v) offsets[v + 1] += offsets[v];
-
-  owned->neighbors.resize(2 * m_);
-  owned->edge_ids.resize(2 * m_);
-  auto& neighbors = owned->neighbors;
-  auto& edge_ids = owned->edge_ids;
-  std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
-  for (std::size_t e = 0; e < edge_list.size(); ++e) {
-    const auto [u, v] = edge_list[e];
-    neighbors[cursor[u]] = v;
-    edge_ids[cursor[u]] = static_cast<EdgeId>(e);
-    ++cursor[u];
-    neighbors[cursor[v]] = u;
-    edge_ids[cursor[v]] = static_cast<EdgeId>(e);
-    ++cursor[v];
-  }
-
-  // With edge_list sorted by (u, v) and u < v, each vertex w receives its
-  // back-neighbors (all < w) before its forward-neighbors (all > w), each
-  // group ascending — so lists are already sorted and this insertion sort
-  // runs in linear time. It is kept as a guard so the sortedness invariant
-  // holds even if the fill order above changes.
-  for (Vertex v = 0; v < n_; ++v) {
-    const std::uint32_t lo = offsets[v];
-    const std::uint32_t hi = offsets[v + 1];
-    // insertion sort on the (neighbor, edge id) pairs; lists are nearly
-    // sorted already, and this avoids a temporary pair buffer.
-    for (std::uint32_t i = lo + 1; i < hi; ++i) {
-      Vertex nv = neighbors[i];
-      EdgeId ne = edge_ids[i];
-      std::uint32_t j = i;
-      while (j > lo && neighbors[j - 1] > nv) {
-        neighbors[j] = neighbors[j - 1];
-        edge_ids[j] = edge_ids[j - 1];
-        --j;
-      }
-      neighbors[j] = nv;
-      edge_ids[j] = ne;
-    }
-  }
-
-  offsets_p_ = offsets.data();
-  neighbors_p_ = neighbors.data();
-  edge_ids_p_ = edge_ids.data();
-  edge_list_p_ = edge_list.data();
-  payload_ = std::move(owned);
-  finish_owned_build(offsets_p_);
-}
-
-// Sharded owned-CSR build: every pass fans the same shard_range partition
-// the round kernels use over shard_pool(), so shard s first-touches exactly
-// the offset/neighbor/edge-id row range it will later step — on a NUMA
-// machine the pages land on the worker's node instead of all on the
-// allocating thread's. The arrays are byte-identical to the serial build
-// for every width: the sorted edge order and the sorted (v, u) reverse
-// order are unique total orders, and the serial fill emits each row as
-// [back-neighbors ascending][forward-neighbors ascending] — exactly the
-// two runs the per-row pass concatenates.
-void Graph::build_owned_sharded(
-    std::span<const std::pair<Vertex, Vertex>> edges, std::uint32_t shards) {
-  ThreadPool& pool = shard_pool();
-  const std::size_t m = edges.size();
   const std::size_t n = n_;
-  const std::uint32_t width = shards;
+  const std::size_t m = m_;
 
-  auto owned = std::make_shared<ShardedCsr>();
+  auto owned = std::make_shared<OwnedCsr>();
   owned->offsets = std::make_unique_for_overwrite<std::uint32_t[]>(n + 1);
   owned->neighbors = std::make_unique_for_overwrite<Vertex[]>(2 * m);
   owned->edge_ids = std::make_unique_for_overwrite<EdgeId[]>(2 * m);
   owned->edge_list =
       std::make_unique_for_overwrite<std::pair<Vertex, Vertex>[]>(m);
-  auto* el = owned->edge_list.get();
   auto* off = owned->offsets.get();
   auto* nbr = owned->neighbors.get();
   auto* eid = owned->edge_ids.get();
+  auto* el = owned->edge_list.get();
 
-  // Validate + normalize to (min, max), parallel over the input order.
-  pool.parallel_for_ranges(
-      m, width, [&](std::size_t, std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          const auto [u, v] = edges[i];
-          RUMOR_REQUIRE(u < n_ && v < n_);
-          RUMOR_REQUIRE(u != v);  // no self loops
-          el[i] = {std::min(u, v), std::max(u, v)};
-        }
-      });
-
-  // Canonical edge order (edge id = lexicographic rank), then the
-  // duplicate check parallelized over adjacent pairs.
-  sharded_sort(pool, el, m, width);
-  pool.parallel_for_ranges(
-      m - 1, width, [&](std::size_t, std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          RUMOR_REQUIRE(el[i + 1] != el[i]);  // no multi-edges
-        }
-      });
-
-  // Reverse index sorted by (v, u): row w's back-neighbors (u < w,
-  // ascending, with their edge ids) become one contiguous run per vertex.
-  // Keys pack (v, u) into one uint64; pairs are unique, so the sort never
-  // compares the payload edge id and the order is deterministic.
-  auto rev = std::make_unique_for_overwrite<
-      std::pair<std::uint64_t, std::uint32_t>[]>(m);
-  pool.parallel_for_ranges(
-      m, width, [&](std::size_t, std::size_t begin, std::size_t end) {
-        for (std::size_t e = begin; e < end; ++e) {
-          rev[e] = {(static_cast<std::uint64_t>(el[e].second) << 32) |
-                        el[e].first,
-                    static_cast<std::uint32_t>(e)};
-        }
-      });
-  sharded_sort(pool, rev.get(), m, width);
-
-  // Per-row degrees, written by the owning shard (this is the first touch
-  // of the offsets pages). Each shard binary-searches its vertex range's
-  // run starts once, then walks both sorted arrays linearly.
-  const auto fwd_start = [&](Vertex v) {
-    return static_cast<std::size_t>(
-        std::lower_bound(el, el + m, std::pair<Vertex, Vertex>{v, 0}) - el);
-  };
-  const auto back_start = [&](Vertex v) {
-    return static_cast<std::size_t>(
-        std::lower_bound(rev.get(), rev.get() + m,
-                         std::pair<std::uint64_t, std::uint32_t>{
-                             static_cast<std::uint64_t>(v) << 32, 0}) -
-        rev.get());
-  };
+  // 1. Degrees into off[v + 1] (validating each edge first), then the
+  // prefix sum into row offsets.
   off[0] = 0;
-  pool.parallel_for_ranges(
-      n, width, [&](std::size_t, std::size_t begin, std::size_t end) {
-        std::size_t e = fwd_start(static_cast<Vertex>(begin));
-        std::size_t r = back_start(static_cast<Vertex>(begin));
-        for (std::size_t v = begin; v < end; ++v) {
-          std::uint32_t d = 0;
-          while (e < m && el[e].first == v) {
-            ++e;
-            ++d;
-          }
-          while (r < m && (rev[r].first >> 32) == v) {
-            ++r;
-            ++d;
-          }
-          off[v + 1] = d;
-        }
-      });
+  for_ranges(n, width, [&](std::size_t, std::size_t begin, std::size_t end) {
+    std::fill(off + begin + 1, off + end + 1, 0u);
+  });
+  for_ranges(m, width, [&](std::size_t, std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const auto [u, v] = edges[i];
+      RUMOR_REQUIRE(u < n_ && v < n_);
+      RUMOR_REQUIRE(u != v);  // no self loops
+      bump(off[u + 1], width);
+      bump(off[v + 1], width);
+    }
+  });
   for (std::size_t v = 0; v < n; ++v) off[v + 1] += off[v];
 
-  // Row fill, same partition: shard s writes (first-touches) exactly the
-  // neighbor/edge-id range its round kernels will read.
-  pool.parallel_for_ranges(
-      n, width, [&](std::size_t, std::size_t begin, std::size_t end) {
-        std::size_t e = fwd_start(static_cast<Vertex>(begin));
-        std::size_t r = back_start(static_cast<Vertex>(begin));
-        for (std::size_t v = begin; v < end; ++v) {
-          std::uint32_t c = off[v];
-          while (r < m && (rev[r].first >> 32) == v) {
-            nbr[c] = static_cast<Vertex>(rev[r].first & 0xFFFFFFFFu);
-            eid[c] = rev[r].second;
-            ++c;
-            ++r;
-          }
-          while (e < m && el[e].first == v) {
-            nbr[c] = el[e].second;
-            eid[c] = static_cast<EdgeId>(e);
-            ++c;
-            ++e;
-          }
-        }
-      });
+  std::vector<std::uint32_t> fwd(n + 1, 0);
+
+  // 2. Scatter both endpoints into their rows, in any order, using the
+  // edge-id array as scratch (step 5 overwrites it). Its rows are zeroed
+  // by their owners first, so the scatter is not what first-touches them.
+  {
+    Vertex* scratch = eid;
+    auto cursor = std::make_unique_for_overwrite<std::uint32_t[]>(n);
+    for_ranges(n, width, [&](std::size_t, std::size_t begin, std::size_t end) {
+      std::copy(off + begin, off + end, cursor.get() + begin);
+      std::fill(eid + off[begin], eid + off[end], 0u);
+    });
+    for_ranges(m, width, [&](std::size_t, std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) {
+        const auto [u, v] = edges[i];
+        scratch[bump(cursor[u], width)] = v;
+        scratch[bump(cursor[v], width)] = u;
+      }
+    });
+
+    // 3. Sort each row into place; a duplicate edge (in either
+    // orientation) shows as two equal neighbors. Forward neighbors (> v)
+    // form the tail of the sorted row; their count goes to cursor[v].
+    for_ranges(n, width, [&](std::size_t, std::size_t begin, std::size_t end) {
+      for (std::size_t v = begin; v < end; ++v) {
+        Vertex* row = nbr + off[v];
+        Vertex* row_end = nbr + off[v + 1];
+        std::copy(scratch + off[v], scratch + off[v + 1], row);
+        std::sort(row, row_end);
+        RUMOR_REQUIRE(std::adjacent_find(row, row_end) == row_end);
+        cursor[v] = static_cast<std::uint32_t>(
+            row_end - std::upper_bound(row, row_end, static_cast<Vertex>(v)));
+      }
+    });
+
+    // 4. fwd[v] = edges whose smaller endpoint is below v: the id of v's
+    // first forward edge (ids rank edges by their (min, max) pair).
+    for (std::size_t v = 0; v < n; ++v) fwd[v + 1] = fwd[v] + cursor[v];
+  }
+
+  // 5. Edge ids and the edge list, row by row. The k-th forward slot of u
+  // is edge fwd[u] + k; a back slot w < u takes the id of u in w's row,
+  // found by binary search there.
+  const auto back_count = [&](std::size_t v) {
+    return (off[v + 1] - off[v]) - (fwd[v + 1] - fwd[v]);
+  };
+  for_ranges(n, width, [&](std::size_t, std::size_t begin, std::size_t end) {
+    for (std::size_t u = begin; u < end; ++u) {
+      const std::uint32_t back = back_count(u);
+      for (std::uint32_t i = off[u]; i < off[u] + back; ++i) {
+        const Vertex w = nbr[i];
+        const Vertex* w_fwd = nbr + off[w] + back_count(w);
+        const Vertex* w_end = nbr + off[w + 1];
+        eid[i] = fwd[w] + static_cast<EdgeId>(
+            std::lower_bound(w_fwd, w_end, static_cast<Vertex>(u)) - w_fwd);
+      }
+      EdgeId e = fwd[u];
+      for (std::uint32_t i = off[u] + back; i < off[u + 1]; ++i, ++e) {
+        eid[i] = e;
+        el[e] = {static_cast<Vertex>(u), nbr[i]};
+      }
+    }
+  });
 
   offsets_p_ = off;
   neighbors_p_ = nbr;
   edge_ids_p_ = eid;
   edge_list_p_ = el;
   payload_ = std::move(owned);
-  finish_owned_build(offsets_p_);
-}
 
-void Graph::finish_owned_build(const std::uint32_t* offsets) {
   min_degree_ = n_ > 0 ? std::numeric_limits<std::uint32_t>::max() : 0;
   max_degree_ = 0;
   degrees_all_pow2_ = n_ > 0;
   for (Vertex v = 0; v < n_; ++v) {
-    const std::uint32_t d = offsets[v + 1] - offsets[v];
+    const std::uint32_t d = off[v + 1] - off[v];
     min_degree_ = std::min(min_degree_, d);
     max_degree_ = std::max(max_degree_, d);
     degrees_all_pow2_ = degrees_all_pow2_ && d > 0 && (d & (d - 1)) == 0;

@@ -100,16 +100,18 @@ class Graph {
   // Constructs an owned-CSR graph from an undirected edge list. Requires:
   // no self loops, no duplicate edges (in either orientation), endpoints <
   // num_vertices. Prefer GraphBuilder, which validates and reports good
-  // errors. Huge edge lists (>= 2^22 edges) build through the sharded
-  // path below automatically when the ambient shard pool has workers.
+  // errors. Linear time: degrees are counted, both endpoints of every edge
+  // scattered into their rows, and each row sorted. Huge edge lists
+  // (>= 2^22 edges) build at the ambient shard pool's width automatically.
   Graph(Vertex num_vertices, std::span<const std::pair<Vertex, Vertex>> edges);
 
-  // As the constructor, but builds the CSR arrays with `shards` parallel
-  // range partitions fanned over shard_pool() — the same shard_range
-  // partition the sharded round kernels use, so each worker first-touches
-  // exactly the row range it will later step (NUMA page placement follows
-  // the compute partition). Content is byte-identical to the serial
-  // constructor for every width; shards <= 1 IS the serial path.
+  // As the constructor, but runs the build's passes over `shards` range
+  // partitions fanned over shard_pool(). Per-row passes use the same
+  // shard_range partition the sharded round kernels use, so each worker
+  // first-touches exactly the rows (and their edge ids and edge-list
+  // entries) it will later step: NUMA page placement follows the compute
+  // partition. Content is byte-identical for every width; shards <= 1
+  // runs every pass on the calling thread and never touches the pool.
   [[nodiscard]] static Graph build_owned(
       Vertex num_vertices, std::span<const std::pair<Vertex, Vertex>> edges,
       std::uint32_t shards);
@@ -280,18 +282,11 @@ class Graph {
 
   Graph() = default;  // backends fill the fields via the static factories
 
-  // Owned-CSR builders: init_owned validates and dispatches on the build
-  // width (the public constructor picks it automatically; build_owned pins
-  // it); the serial and sharded bodies produce byte-identical arrays.
-  // finish_owned_build is the shared tail (degree stats from the finished
-  // offsets array + uid).
+  // The owned-CSR build (one counting algorithm at every width; the public
+  // constructor picks the width automatically, build_owned pins it).
   void init_owned(Vertex num_vertices,
                   std::span<const std::pair<Vertex, Vertex>> edges,
-                  std::uint32_t build_width);
-  void build_owned_serial(std::span<const std::pair<Vertex, Vertex>> edges);
-  void build_owned_sharded(std::span<const std::pair<Vertex, Vertex>> edges,
-                           std::uint32_t shards);
-  void finish_owned_build(const std::uint32_t* offsets);
+                  std::uint32_t width);
 
   void assign_uid();
   void prefill_properties(const GraphProperties& props);

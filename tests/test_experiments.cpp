@@ -15,25 +15,25 @@ namespace {
 TEST(GraphSpec, MakesEveryFamily) {
   Rng rng(1);
   const std::vector<GraphSpec> specs = {
-      {Family::star, 8},
-      {Family::double_star, 8},
-      {Family::heavy_tree, 15},
-      {Family::siamese, 15},
-      {Family::cycle_stars_cliques, 3},
-      {Family::complete, 8},
-      {Family::cycle, 8},
-      {Family::path, 8},
-      {Family::grid, 3, 4},
-      {Family::torus, 3, 4},
-      {Family::hypercube, 4},
-      {Family::circulant, 12, 2},
-      {Family::clique_ring, 4, 3},
-      {Family::clique_path, 4, 3},
-      {Family::random_regular, 16, 4},
-      {Family::erdos_renyi, 32, 0, 0.3},
-      {Family::barbell, 4},
-      {Family::star_of_cliques, 3, 3},
-      {Family::binary_tree, 15},
+      {.family = Family::star, .a = 8},
+      {.family = Family::double_star, .a = 8},
+      {.family = Family::heavy_tree, .a = 15},
+      {.family = Family::siamese, .a = 15},
+      {.family = Family::cycle_stars_cliques, .a = 3},
+      {.family = Family::complete, .a = 8},
+      {.family = Family::cycle, .a = 8},
+      {.family = Family::path, .a = 8},
+      {.family = Family::grid, .a = 3, .b = 4},
+      {.family = Family::torus, .a = 3, .b = 4},
+      {.family = Family::hypercube, .a = 4},
+      {.family = Family::circulant, .a = 12, .b = 2},
+      {.family = Family::clique_ring, .a = 4, .b = 3},
+      {.family = Family::clique_path, .a = 4, .b = 3},
+      {.family = Family::random_regular, .a = 16, .b = 4},
+      {.family = Family::erdos_renyi, .a = 32, .p = 0.3},
+      {.family = Family::barbell, .a = 4},
+      {.family = Family::star_of_cliques, .a = 3, .b = 3},
+      {.family = Family::binary_tree, .a = 15},
   };
   for (const auto& spec : specs) {
     const Graph g = spec.make(rng);
@@ -44,11 +44,12 @@ TEST(GraphSpec, MakesEveryFamily) {
 }
 
 TEST(GraphSpec, NamesAreDescriptive) {
-  EXPECT_EQ((GraphSpec{Family::star, 64}).name(), "star(leaves=64)");
-  EXPECT_EQ((GraphSpec{Family::random_regular, 128, 8}).name(),
-            "random_regular(n=128,d=8)");
-  EXPECT_TRUE((GraphSpec{Family::random_regular, 128, 8}).is_random());
-  EXPECT_FALSE((GraphSpec{Family::star, 64}).is_random());
+  const GraphSpec star{.family = Family::star, .a = 64};
+  const GraphSpec regular{.family = Family::random_regular, .a = 128, .b = 8};
+  EXPECT_EQ(star.name(), "star(leaves=64)");
+  EXPECT_EQ(regular.name(), "random_regular(n=128,d=8)");
+  EXPECT_TRUE(regular.is_random());
+  EXPECT_FALSE(star.is_random());
 }
 
 TEST(ProtocolSpec, DefaultsAndNames) {
@@ -73,7 +74,7 @@ TEST(ProtocolSpec, DefaultsAndNames) {
 
 TEST(RunProtocol, EveryRegisteredSimulatorProducesCompletedRuns) {
   Rng rng(2);
-  const Graph g = (GraphSpec{Family::complete, 48}).make(rng);
+  const Graph g = (GraphSpec{.family = Family::complete, .a = 48}).make(rng);
   for (const SimulatorEntry& entry : SimulatorRegistry::instance().all()) {
     const TrialResult outcome =
         run_protocol(g, default_spec(entry.id), 0, 7);
@@ -84,7 +85,8 @@ TEST(RunProtocol, EveryRegisteredSimulatorProducesCompletedRuns) {
 
 TEST(RunProtocol, TrialResultCarriesAgentMilestoneAndCurve) {
   Rng rng(6);
-  const Graph g = (GraphSpec{Family::circulant, 96, 3}).make(rng);
+  const Graph g =
+      (GraphSpec{.family = Family::circulant, .a = 96, .b = 3}).make(rng);
   ProtocolSpec spec = default_spec(Protocol::visit_exchange);
   spec.walk().trace.informed_curve = true;
   const TrialResult r = run_protocol(g, spec, 0, 11);
@@ -97,7 +99,7 @@ TEST(RunProtocol, TrialResultCarriesAgentMilestoneAndCurve) {
 
 TEST(Trials, DeterministicAcrossRuns) {
   Rng rng(3);
-  const Graph g = (GraphSpec{Family::hypercube, 6}).make(rng);
+  const Graph g = (GraphSpec{.family = Family::hypercube, .a = 6}).make(rng);
   const auto spec = default_spec(Protocol::push);
   const TrialSet a = run_trials(g, spec, 0, 16, 42);
   const TrialSet b = run_trials(g, spec, 0, 16, 42);
@@ -107,7 +109,7 @@ TEST(Trials, DeterministicAcrossRuns) {
 
 TEST(Trials, DifferentSeedsGiveDifferentSamples) {
   Rng rng(4);
-  const Graph g = (GraphSpec{Family::complete, 64}).make(rng);
+  const Graph g = (GraphSpec{.family = Family::complete, .a = 64}).make(rng);
   const auto spec = default_spec(Protocol::push);
   const TrialSet a = run_trials(g, spec, 0, 16, 1);
   const TrialSet b = run_trials(g, spec, 0, 16, 2);
@@ -115,7 +117,7 @@ TEST(Trials, DifferentSeedsGiveDifferentSamples) {
 }
 
 TEST(Trials, FreshGraphModeDeterministic) {
-  const GraphSpec gspec{Family::random_regular, 64, 6};
+  const GraphSpec gspec{.family = Family::random_regular, .a = 64, .b = 6};
   const auto spec = default_spec(Protocol::push_pull);
   const TrialSet a = run_trials_fresh_graph(gspec, spec, 0, 8, 99);
   const TrialSet b = run_trials_fresh_graph(gspec, spec, 0, 8, 99);
@@ -124,7 +126,7 @@ TEST(Trials, FreshGraphModeDeterministic) {
 
 TEST(Trials, SummaryMatchesSamples) {
   Rng rng(5);
-  const Graph g = (GraphSpec{Family::complete, 32}).make(rng);
+  const Graph g = (GraphSpec{.family = Family::complete, .a = 32}).make(rng);
   const TrialSet set = run_trials(g, default_spec(Protocol::push), 0, 20, 7);
   const Summary s = set.summary();
   EXPECT_EQ(s.count, 20u);

@@ -31,25 +31,25 @@ struct GridCase {
 };
 
 const GridCase kGraphs[] = {
-    {"star", {Family::star, 48}, 1},
-    {"double_star", {Family::double_star, 24}, 2},
-    {"heavy_tree", {Family::heavy_tree, 63}, 62},
-    {"siamese", {Family::siamese, 31}, 30},
-    {"csc", {Family::cycle_stars_cliques, 4}, 20},
-    {"complete", {Family::complete, 48}, 0},
-    {"cycle", {Family::cycle, 33}, 0},
-    {"path", {Family::path, 24}, 0},
-    {"grid", {Family::grid, 6, 6}, 0},
-    {"torus", {Family::torus, 5, 5}, 0},
-    {"hypercube", {Family::hypercube, 6}, 0},
-    {"circulant", {Family::circulant, 40, 4}, 0},
-    {"clique_ring", {Family::clique_ring, 5, 5}, 0},
-    {"clique_path", {Family::clique_path, 5, 5}, 0},
-    {"random_regular", {Family::random_regular, 48, 6}, 0},
-    {"erdos_renyi", {Family::erdos_renyi, 48, 0, 0.2}, 0},
-    {"barbell", {Family::barbell, 10}, 0},
-    {"star_of_cliques", {Family::star_of_cliques, 4, 5}, 0},
-    {"binary_tree", {Family::binary_tree, 31}, 0},
+    {"star", {.family = Family::star, .a = 48}, 1},
+    {"double_star", {.family = Family::double_star, .a = 24}, 2},
+    {"heavy_tree", {.family = Family::heavy_tree, .a = 63}, 62},
+    {"siamese", {.family = Family::siamese, .a = 31}, 30},
+    {"csc", {.family = Family::cycle_stars_cliques, .a = 4}, 20},
+    {"complete", {.family = Family::complete, .a = 48}, 0},
+    {"cycle", {.family = Family::cycle, .a = 33}, 0},
+    {"path", {.family = Family::path, .a = 24}, 0},
+    {"grid", {.family = Family::grid, .a = 6, .b = 6}, 0},
+    {"torus", {.family = Family::torus, .a = 5, .b = 5}, 0},
+    {"hypercube", {.family = Family::hypercube, .a = 6}, 0},
+    {"circulant", {.family = Family::circulant, .a = 40, .b = 4}, 0},
+    {"clique_ring", {.family = Family::clique_ring, .a = 5, .b = 5}, 0},
+    {"clique_path", {.family = Family::clique_path, .a = 5, .b = 5}, 0},
+    {"random_regular", {.family = Family::random_regular, .a = 48, .b = 6}, 0},
+    {"erdos_renyi", {.family = Family::erdos_renyi, .a = 48, .p = 0.2}, 0},
+    {"barbell", {.family = Family::barbell, .a = 10}, 0},
+    {"star_of_cliques", {.family = Family::star_of_cliques, .a = 4, .b = 5}, 0},
+    {"binary_tree", {.family = Family::binary_tree, .a = 31}, 0},
 };
 
 const Protocol kProtocols[] = {Protocol::push, Protocol::push_pull,
@@ -124,6 +124,8 @@ TEST_P(ProtocolGridTest, TraceInvariants) {
       r = run_hybrid(g, source, 7, o);
       break;
     }
+    default:
+      FAIL() << "the grid runs only the five round simulators";
   }
   ASSERT_TRUE(r.completed)
       << graph_case().name << " / " << protocol_name(protocol());

@@ -107,7 +107,7 @@ TEST(RegistryTrials, HeterogeneousSamplesAreAPureFunctionOfSeedAndIndex) {
 }
 
 TEST(RegistryTrials, FreshGraphSamplesAreAPureFunctionOfSeedAndIndex) {
-  const GraphSpec gspec{Family::random_regular, 64, 6};
+  const GraphSpec gspec{.family = Family::random_regular, .a = 64, .b = 6};
   const ProtocolSpec spec = default_spec(Protocol::push_pull);
   constexpr std::uint64_t kMaster = 99;
   const TrialSet pooled = run_trials_fresh_graph(gspec, spec, 0, 8, kMaster);
@@ -192,7 +192,7 @@ TEST(TrialSourceValidation, FreshGraphValidatesSourceAgainstEveryDraw) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   // Every draw has exactly 64 vertices; source 64 is out of range in all
   // of them and must abort instead of indexing out of bounds.
-  const GraphSpec gspec{Family::random_regular, 64, 6};
+  const GraphSpec gspec{.family = Family::random_regular, .a = 64, .b = 6};
   const ProtocolSpec spec = default_spec(Protocol::push);
   EXPECT_DEATH((void)run_trials_fresh_graph(gspec, spec, 64, 4, 1),
                "precondition");

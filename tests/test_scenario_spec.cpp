@@ -53,25 +53,25 @@ TEST(SpecText, DoubleFormattingRoundTripsAndStaysShort) {
 
 TEST(GraphSpecText, EveryFamilyRoundTrips) {
   const std::vector<GraphSpec> specs = {
-      {Family::star, 8},
-      {Family::double_star, 8},
-      {Family::heavy_tree, 15},
-      {Family::siamese, 15},
-      {Family::cycle_stars_cliques, 3},
-      {Family::complete, 8},
-      {Family::cycle, 8},
-      {Family::path, 8},
-      {Family::grid, 3, 4},
-      {Family::torus, 3, 4},
-      {Family::hypercube, 4},
-      {Family::circulant, 12, 2},
-      {Family::clique_ring, 4, 3},
-      {Family::clique_path, 4, 3},
-      {Family::random_regular, 16, 4},
-      {Family::erdos_renyi, 32, 0, 0.3},
-      {Family::barbell, 4},
-      {Family::star_of_cliques, 3, 3},
-      {Family::binary_tree, 15},
+      {.family = Family::star, .a = 8},
+      {.family = Family::double_star, .a = 8},
+      {.family = Family::heavy_tree, .a = 15},
+      {.family = Family::siamese, .a = 15},
+      {.family = Family::cycle_stars_cliques, .a = 3},
+      {.family = Family::complete, .a = 8},
+      {.family = Family::cycle, .a = 8},
+      {.family = Family::path, .a = 8},
+      {.family = Family::grid, .a = 3, .b = 4},
+      {.family = Family::torus, .a = 3, .b = 4},
+      {.family = Family::hypercube, .a = 4},
+      {.family = Family::circulant, .a = 12, .b = 2},
+      {.family = Family::clique_ring, .a = 4, .b = 3},
+      {.family = Family::clique_path, .a = 4, .b = 3},
+      {.family = Family::random_regular, .a = 16, .b = 4},
+      {.family = Family::erdos_renyi, .a = 32, .p = 0.3},
+      {.family = Family::barbell, .a = 4},
+      {.family = Family::star_of_cliques, .a = 3, .b = 3},
+      {.family = Family::binary_tree, .a = 15},
   };
   for (const GraphSpec& spec : specs) {
     std::string error;
@@ -82,8 +82,10 @@ TEST(GraphSpecText, EveryFamilyRoundTrips) {
 }
 
 TEST(GraphSpecText, KeyedParameterNames) {
-  EXPECT_EQ((GraphSpec{Family::grid, 3, 4}).name(), "grid(rows=3,cols=4)");
-  EXPECT_EQ((GraphSpec{Family::erdos_renyi, 32, 0, 0.25}).name(),
+  EXPECT_EQ((GraphSpec{.family = Family::grid, .a = 3, .b = 4}).name(),
+            "grid(rows=3,cols=4)");
+  EXPECT_EQ((GraphSpec{.family = Family::erdos_renyi, .a = 32, .p = 0.25})
+                .name(),
             "erdos_renyi(n=32,p=0.25)");
   const auto parsed = GraphSpec::parse("circulant(n=4096, k=8)");
   ASSERT_TRUE(parsed);

@@ -267,7 +267,7 @@ TEST(TrialScheduler, MatchesPerScenarioPathAndIsWorkerCountInvariant) {
   const Graph circ = gen::circulant(64, 2);
   const ProtocolSpec push_spec = default_spec(Protocol::push);
   const ProtocolSpec visit_spec = default_spec(Protocol::visit_exchange);
-  const GraphSpec fresh_spec{Family::random_regular, 48, 4};
+  const GraphSpec fresh_spec{.family = Family::random_regular, .a = 48, .b = 4};
 
   constexpr std::uint64_t kSeed = 20260730ULL;
   auto make_batches = [&](std::vector<TrialSet>& sets) {

@@ -1,11 +1,14 @@
 // AgentSystem: placement distributions, stepping validity, stationarity
-// preservation.
+// preservation; cover, hitting and meeting times of step_from walks
+// against their closed forms.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <numeric>
 
 #include "graph/generators.hpp"
+#include "support/bitset.hpp"
+#include "support/stats.hpp"
 #include "walk/agents.hpp"
 
 namespace rumor {
@@ -120,6 +123,161 @@ TEST(Agents, SetPosition) {
   agents.set_position(1, 4);
   EXPECT_EQ(agents.position(0), 0u);
   EXPECT_EQ(agents.position(1), 4u);
+}
+
+// ---- Walk times vs. closed forms -----------------------------------------
+//
+// One walk (or two) stepped with step_from until it covers the graph, hits
+// a target, or meets the other; `cutoff` when that does not happen by
+// then. The classical cover, hitting and meeting times of the simple walk
+// have closed forms on the complete graph and the cycle, which makes them
+// statistical tests of the walk substrate.
+
+std::uint64_t cover_time_once(const Graph& g, Vertex start, Rng& rng,
+                              Laziness lazy, std::uint64_t cutoff) {
+  DynamicBitset visited(g.num_vertices());
+  visited.set(start);
+  std::size_t seen = 1;
+  Vertex pos = start;
+  for (std::uint64_t t = 1; t <= cutoff; ++t) {
+    pos = step_from(g, pos, rng, lazy);
+    if (!visited.test(pos)) {
+      visited.set(pos);
+      if (++seen == g.num_vertices()) return t;
+    }
+  }
+  return cutoff;
+}
+
+std::uint64_t hitting_time_once(const Graph& g, Vertex start, Vertex target,
+                                Rng& rng, Laziness lazy,
+                                std::uint64_t cutoff) {
+  if (start == target) return 0;
+  Vertex pos = start;
+  for (std::uint64_t t = 1; t <= cutoff; ++t) {
+    pos = step_from(g, pos, rng, lazy);
+    if (pos == target) return t;
+  }
+  return cutoff;
+}
+
+std::uint64_t meeting_time_once(const Graph& g, Vertex a, Vertex b, Rng& rng,
+                                Laziness lazy, std::uint64_t cutoff) {
+  if (a == b) return 0;
+  for (std::uint64_t t = 1; t <= cutoff; ++t) {
+    a = step_from(g, a, rng, lazy);
+    b = step_from(g, b, rng, lazy);
+    if (a == b) return t;
+  }
+  return cutoff;
+}
+
+TEST(CoverTime, CompleteGraphMatchesCouponCollector) {
+  // Cover time of K_n is (n-1) * H_{n-1} (coupon collector on n-1 others).
+  const Vertex n = 32;
+  const Graph g = gen::complete(n);
+  Rng rng(1);
+  std::vector<double> samples;
+  for (int i = 0; i < 400; ++i) {
+    samples.push_back(static_cast<double>(
+        cover_time_once(g, 0, rng, Laziness::none, 1 << 20)));
+  }
+  double harmonic = 0;
+  for (Vertex k = 1; k < n; ++k) harmonic += 1.0 / k;
+  const double expected = (n - 1) * harmonic;
+  const Summary s = Summary::of(samples);
+  EXPECT_NEAR(s.mean, expected, 0.12 * expected);
+}
+
+TEST(CoverTime, CycleMatchesQuadraticForm) {
+  // Cover time of the n-cycle is exactly n(n-1)/2.
+  const Vertex n = 24;
+  const Graph g = gen::cycle(n);
+  Rng rng(2);
+  std::vector<double> samples;
+  for (int i = 0; i < 400; ++i) {
+    samples.push_back(static_cast<double>(
+        cover_time_once(g, 0, rng, Laziness::none, 1 << 22)));
+  }
+  const double expected = n * (n - 1) / 2.0;
+  EXPECT_NEAR(Summary::of(samples).mean, expected, 0.12 * expected);
+}
+
+TEST(CoverTime, CutoffReported) {
+  const Graph g = gen::cycle(64);
+  Rng rng(3);
+  EXPECT_EQ(cover_time_once(g, 0, rng, Laziness::none, 10), 10u);
+}
+
+TEST(HittingTime, CompleteGraphGeometric) {
+  // Hitting time u->v on K_n is geometric with mean n-1.
+  const Vertex n = 20;
+  const Graph g = gen::complete(n);
+  Rng rng(4);
+  std::vector<double> samples;
+  for (int i = 0; i < 3000; ++i) {
+    samples.push_back(static_cast<double>(
+        hitting_time_once(g, 0, 5, rng, Laziness::none, 1 << 20)));
+  }
+  EXPECT_NEAR(Summary::of(samples).mean, n - 1.0, 0.08 * (n - 1));
+}
+
+TEST(HittingTime, SameVertexIsZero) {
+  const Graph g = gen::cycle(8);
+  Rng rng(5);
+  EXPECT_EQ(hitting_time_once(g, 3, 3, rng, Laziness::none, 100), 0u);
+}
+
+TEST(HittingTime, LazyDoublesMean) {
+  const Vertex n = 16;
+  const Graph g = gen::complete(n);
+  Rng rng(6);
+  std::vector<double> lazy_samples;
+  for (int i = 0; i < 3000; ++i) {
+    lazy_samples.push_back(static_cast<double>(
+        hitting_time_once(g, 0, 5, rng, Laziness::half, 1 << 20)));
+  }
+  // Lazy walk makes real progress half the time: mean 2(n-1).
+  EXPECT_NEAR(Summary::of(lazy_samples).mean, 2.0 * (n - 1),
+              0.1 * 2 * (n - 1));
+}
+
+TEST(MeetingTime, SameStartIsZero) {
+  const Graph g = gen::cycle(8);
+  Rng rng(7);
+  EXPECT_EQ(meeting_time_once(g, 2, 2, rng, Laziness::none, 100), 0u);
+}
+
+TEST(MeetingTime, CompleteGraphMean) {
+  // Two walks on K_n land on the same vertex with probability ~1/(n-1) per
+  // round, so the meeting time is approximately geometric with mean ~n-1.
+  const Vertex n = 20;
+  const Graph g = gen::complete(n);
+  Rng rng(8);
+  std::vector<double> samples;
+  for (int i = 0; i < 3000; ++i) {
+    samples.push_back(static_cast<double>(
+        meeting_time_once(g, 0, 5, rng, Laziness::none, 1 << 20)));
+  }
+  EXPECT_NEAR(Summary::of(samples).mean, n - 1.0, 0.15 * (n - 1));
+}
+
+TEST(MeetingTime, BipartiteParityNeverMeets) {
+  // On an even cycle, two non-lazy walks at odd distance keep opposite
+  // parity forever: they can never meet.
+  const Graph g = gen::cycle(8);
+  Rng rng(9);
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_EQ(meeting_time_once(g, 0, 1, rng, Laziness::none, 2000), 2000u);
+  }
+  // Lazy walks break parity and do meet.
+  std::size_t met = 0;
+  for (int i = 0; i < 20; ++i) {
+    if (meeting_time_once(g, 0, 1, rng, Laziness::half, 20000) < 20000) {
+      ++met;
+    }
+  }
+  EXPECT_EQ(met, 20u);
 }
 
 }  // namespace
